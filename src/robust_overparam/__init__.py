@@ -23,9 +23,8 @@ from .dataspace import (
 from .network import (
     InitSnapshot,
     NetworkState,
-    activation_flip_count,
     anti_concentration_check,
-    coupling_gap,
+    coupling_scan,
     forward_pseudo,
     forward_real,
     grad_loss_pseudo,

@@ -3,23 +3,28 @@
 Every command resolves its full configuration, runs the relevant module
 operations, and writes outputs atomically (temp file + rename) with the tool
 version, resolved config and seed embedded, so reruns with the same flags are
-byte-identical.  Exit codes: 0 success, 1 certification failure, 2 usage
-error; failures also emit one machine-readable JSON line on stderr.
+byte-identical.  Exit codes: 0 success, 1 certification, separability or
+degenerate-fit failure, 2 usage error; failures also emit one
+machine-readable JSON line on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import dataclasses
 import json
 import os
 import statistics
 import sys
+import tempfile
 
 import numpy as np
 
 from . import __version__
 from .adversary import AttackConfig, make_adversary, random_cap_point
 from .dataspace import (
+    Dataset,
     SeparabilityError,
     delta_histogram,
     load_csv,
@@ -29,6 +34,7 @@ from .dataspace import (
 )
 from .network import (
     anti_concentration_check,
+    coupling_scan,
     grad_loss_pseudo,
     grad_loss_real,
     gradient_coupling_norm,
@@ -38,7 +44,13 @@ from .network import (
 )
 from .polyapprox import CertificationError, StepSpec, robust_interpolant, step_poly
 from .rng import stream
-from .training import adversarial_train, fit_pseudo_to_target, make_loss, schedule
+from .training import (
+    FitDegenerateError,
+    adversarial_train,
+    fit_pseudo_to_target,
+    make_loss,
+    schedule,
+)
 
 THREADS_ENV = "ROBUST_OVERPARAM_THREADS"
 
@@ -47,16 +59,33 @@ THREADS_ENV = "ROBUST_OVERPARAM_THREADS"
 # Atomic, reproducible output
 # ---------------------------------------------------------------------------
 
-def _meta(config: dict, seed) -> dict:
-    return {"version": __version__, "config": config, "seed": seed}
+# parsed attributes that are not configuration: the handler, the --config
+# file (its values are already resolved into the flags) and the output paths
+_NOT_CONFIG = frozenset({"func", "config", "out", "emit", "hist", "trace", "summary", "grad_out"})
+
+# the mode a plain open(path, "w") gives a new file under this umask
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
+
+def _meta(args) -> dict:
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    return {"version": __version__, "config": config, "seed": getattr(args, "seed", None)}
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -82,18 +111,11 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_poly(args) -> int:
-    config = {
-        "command": "poly",
-        "delta": args.delta,
-        "rho": args.rho,
-        "eps1": args.eps1,
-        "cert_grid": args.cert_grid,
-    }
     spec = StepSpec(rho=args.rho, delta=args.delta, eps1=args.eps1)
     q = step_poly(spec, cert_grid=args.cert_grid)
     cert = q.meta["certification"]
     payload = {
-        "meta": _meta(config, None),
+        "meta": _meta(args),
         "degree": q.degree,
         "basis": "chebyshev",
         "coefficients": [float(c) for c in q.chebyshev_coeffs],
@@ -116,24 +138,19 @@ def _dataset_from_args(args) -> Dataset:
         return load_csv(args.input)
     if getattr(args, "synth", None):
         kv = dict(part.split("=") for part in args.synth.split(","))
-        return synth_separated(
-            n=int(kv["n"]), d=int(kv["d"]), delta_min=float(kv["delta"]), seed=args.seed
-        )
+        try:
+            n, d, delta = int(kv["n"]), int(kv["d"]), float(kv["delta"])
+        except KeyError as exc:
+            raise ValueError(f"--synth is missing {exc}; expected n=..,d=..,delta=..") from None
+        return synth_separated(n=n, d=d, delta_min=delta, seed=args.seed)
     raise ValueError("provide --input data.csv or --synth n=..,d=..,delta=..")
 
 
 def cmd_separability(args) -> int:
-    config = {
-        "command": "separability",
-        "input": args.input,
-        "synth": args.synth,
-        "rho": args.rho,
-        "seed": args.seed,
-    }
     ds = _dataset_from_args(args)
     rep = separability(ds, args.rho)
     payload = {
-        "meta": _meta(config, args.seed),
+        "meta": _meta(args),
         "n": ds.n,
         "d": ds.d,
         "rho": args.rho,
@@ -146,33 +163,16 @@ def cmd_separability(args) -> int:
     if args.hist:
         counts, edges = delta_histogram(rep)
         rows = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))]
-        write_csv(args.hist, _meta(config, args.seed), ("bin_lo", "bin_hi", "count"), rows)
+        write_csv(args.hist, _meta(args), ("bin_lo", "bin_hi", "count"), rows)
     return 0
 
 
 def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: int):
-    """One (width, seed) cell: sup-sample gap, flip fraction, gradient ratio.
-
-    The gap and flip scans share one chunked pass over the sample; at the
-    largest widths the sample-times-width matrices dominate the sweep cost.
-    """
+    """One (width, seed) cell: sup-sample gap, flip fraction, gradient ratio."""
     state = init_network(m, d, seed)
     pert = perturbed_state(state, R, seed)
-    init = pert.init
-    dW = pert.W - init.W0
     sample = uniform_domain_sample(samples, d, stream(seed, "coupling-sample"))
-    gap = 0.0
-    flipped = np.zeros(m, dtype=bool)
-    chunk = max(1, min(256, samples))
-    for lo in range(0, samples, chunk):
-        X = sample[lo : lo + chunk]
-        pre0 = X @ init.W0 + init.b0
-        shift = X @ dW
-        f = np.maximum(pre0 + shift, 0.0) @ init.a0
-        mask0 = pre0 >= 0
-        g = (shift * mask0) @ init.a0
-        gap = max(gap, float(np.max(np.abs(f - g))))
-        flipped |= (((pre0 + shift) >= 0) != mask0).any(axis=0)
+    gap, flipped = coupling_scan(pert, sample)
     flips = float(flipped.sum()) / m
     ds = synth_separated(batch_n, d, delta_min=0.8, seed=seed)
     loss = make_loss("absolute")
@@ -184,34 +184,21 @@ def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: i
 
 
 def cmd_coupling(args) -> int:
-    m_list = [int(v) for v in args.m_list.split(",")]
-    config = {
-        "command": "coupling",
-        "m_list": m_list,
-        "R": args.R,
-        "samples": args.samples,
-        "d": args.d,
-        "seeds": args.seeds,
-        "seed": args.seed,
-        "batch_n": args.batch_n,
-    }
-    rows = []
-    grad_rows = []
-    jobs = [(m, args.seed + r) for m in m_list for r in range(args.seeds)]
+    jobs = [(m, args.seed + r) for m in args.m_list for r in range(args.seeds)]
     results = _pool_map(
         lambda job: _coupling_cell(job[0], args.d, args.R, args.samples, args.batch_n, job[1]),
         jobs,
     )
-    by_m: dict[int, list] = {m: [] for m in m_list}
+    by_m: dict[int, list] = {m: [] for m in args.m_list}
     for (m, _), res in zip(jobs, results):
         by_m[m].append(res)
-    for m in m_list:
-        gaps = [r[0] for r in by_m[m]]
-        flips = [r[1] for r in by_m[m]]
-        ratios = [r[2] for r in by_m[m]]
+    rows = []
+    grad_rows = []
+    for m in args.m_list:
+        gaps, flips, ratios = zip(*by_m[m])
         rows.append((m, args.R, statistics.median(gaps), max(gaps), statistics.median(flips)))
         grad_rows.append((m, args.R, statistics.median(ratios)))
-    meta = _meta(config, args.seed)
+    meta = _meta(args)
     write_csv(args.out, meta, ("m", "R", "gap_median", "gap_max", "flip_fraction"), rows)
     if args.grad_out:
         write_csv(args.grad_out, meta, ("m", "R", "grad_ratio_median"), grad_rows)
@@ -219,19 +206,10 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_anticonc(args) -> int:
-    t_grid = [float(v) for v in args.t_grid.split(",")]
-    config = {
-        "command": "anticonc",
-        "m": args.m,
-        "d": args.d,
-        "t_grid": t_grid,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    rows = anti_concentration_check(args.m, args.d, t_grid, args.trials, args.seed)
+    rows = anti_concentration_check(args.m, args.d, args.t_grid, args.trials, args.seed)
     write_csv(
         args.out,
-        _meta(config, args.seed),
+        _meta(args),
         ("t", "estimate", "exact", "stderr", "envelope"),
         [(r.t, r.estimate, r.exact, r.stderr, r.envelope) for r in rows],
     )
@@ -253,26 +231,19 @@ def build_fit_instance(n, d, delta_min, rho, eps, seed, pert_per_point):
     return ds, target, sample
 
 
-def cmd_fit(args) -> int:
-    config = {
-        "command": "fit",
-        "n": args.n,
-        "d": args.d,
-        "delta": args.delta,
-        "rho": args.rho,
-        "eps": args.eps,
-        "m": args.m,
-        "pert_per_point": args.pert_per_point,
-        "ridge": args.ridge,
-        "seed": args.seed,
-    }
-    ds, target, sample = build_fit_instance(
-        args.n, args.d, args.delta, args.rho, args.eps, args.seed, args.pert_per_point
+def _run_fit(args, m: int, delta: float, seed: int):
+    """The fit shared by `fit` and `sweep fit`: (target, sample, FitResult)."""
+    _, target, sample = build_fit_instance(
+        args.n, args.d, delta, args.rho, args.eps, seed, args.pert_per_point
     )
-    state = init_network(args.m, args.d, args.seed)
-    fit = fit_pseudo_to_target(state.init, target, sample, ridge=args.ridge)
+    state = init_network(m, args.d, seed)
+    return target, sample, fit_pseudo_to_target(state.init, target, sample, ridge=args.ridge)
+
+
+def cmd_fit(args) -> int:
+    target, sample, fit = _run_fit(args, args.m, args.delta, args.seed)
     payload = {
-        "meta": _meta(config, args.seed),
+        "meta": _meta(args),
         "m": args.m,
         "sample_size": int(len(sample)),
         "target_degree": target.degree,
@@ -285,38 +256,26 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = {
-        "command": "train",
-        "input": args.input,
-        "synth": args.synth,
-        "rho": args.rho,
-        "m": args.m,
-        "eps": args.eps,
-        "R": args.R,
-        "c_T": args.c_T,
-        "c_eta": args.c_eta,
-        "attack": args.attack,
-        "attack_steps": args.attack_steps,
-        "attack_restarts": args.attack_restarts,
-        "loss": args.loss,
-        "seed": args.seed,
-    }
-    ds = _dataset_from_args(args)
+def _run_train(args, ds, m: int, seed: int):
+    """The run shared by `train` and `sweep train`: (state, TrainingResult).
+
+    Raises SeparabilityError when the caps around the training points overlap.
+    """
     rep = separability(ds, args.rho)
     if rep.gamma <= 0:
         raise SeparabilityError(
             f"training set not separable for rho={args.rho}: delta={rep.delta:.4g}"
         )
-    loss = make_loss(args.loss)
-    cfg = AttackConfig(
-        rho=args.rho, steps=args.attack_steps, restarts=args.attack_restarts, seed=args.seed
-    )
+    cfg = AttackConfig(rho=args.rho, steps=args.attack_steps, restarts=args.attack_restarts, seed=seed)
     adv = make_adversary(args.attack, cfg)
-    hp = schedule(args.eps, args.R, args.m, c_T=args.c_T, c_eta=args.c_eta)
-    state = init_network(args.m, ds.d, args.seed)
-    result = adversarial_train(state, ds, adv, loss, hp)
-    meta = _meta(config, args.seed)
+    hp = schedule(args.eps, args.R, m, c_T=args.c_T, c_eta=args.c_eta)
+    state = init_network(m, ds.d, seed)
+    return state, adversarial_train(state, ds, adv, make_loss(args.loss), hp)
+
+
+def cmd_train(args) -> int:
+    state, result = _run_train(args, _dataset_from_args(args), args.m, args.seed)
+    meta = _meta(args)
     if args.trace:
         write_csv(args.trace, meta, result.trace.COLUMNS, list(result.trace.rows()))
     summary = {
@@ -324,14 +283,7 @@ def cmd_train(args) -> int:
         "best_t": result.best_t,
         "best_robust_loss": result.best_robust_loss,
         "final_drift_2inf": weight_norms(result.final_W, state.init.W0).two_inf,
-        "hp": {
-            "T": hp.T,
-            "eta": hp.eta,
-            "R": hp.R,
-            "eps": hp.eps,
-            "c_T": hp.c_T,
-            "c_eta": hp.c_eta,
-        },
+        "hp": dataclasses.asdict(result.hp),
         "invariant_violations": result.violations,
     }
     if args.summary:
@@ -339,23 +291,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_cell_fit(args, m: int, seed: int) -> dict:
-    ds, target, sample = build_fit_instance(
-        args.n, args.d, args.delta, args.rho, args.eps, seed, args.pert_per_point
-    )
-    state = init_network(m, args.d, seed)
-    fit = fit_pseudo_to_target(state.init, target, sample, ridge=args.ridge)
+def _sweep_cell_fit(args, m: int, delta: float, seed: int) -> dict:
+    _, _, fit = _run_fit(args, m, delta, seed)
     return {"max_error": fit.max_error, "two_inf": fit.two_inf, "r_star": fit.r_star}
 
 
 def _sweep_cell_train(args, m: int, delta: float, seed: int) -> dict:
-    ds = synth_separated(args.n, args.d, delta, seed)
-    loss = make_loss(args.loss)
-    cfg = AttackConfig(rho=args.rho, steps=args.attack_steps, restarts=args.attack_restarts, seed=seed)
-    adv = make_adversary(args.attack, cfg)
-    hp = schedule(args.eps, args.R, m, c_T=args.c_T, c_eta=args.c_eta)
-    state = init_network(m, args.d, seed)
-    result = adversarial_train(state, ds, adv, loss, hp)
+    _, result = _run_train(args, synth_separated(args.n, args.d, delta, seed), m, seed)
     return {
         "best_robust_loss": result.best_robust_loss,
         "best_t": float(result.best_t),
@@ -364,42 +306,19 @@ def _sweep_cell_train(args, m: int, delta: float, seed: int) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    m_list = [int(v) for v in args.m_list.split(",")]
-    delta_list = [float(v) for v in args.delta_list.split(",")] if args.delta_list else [args.delta]
-    config = {
-        "command": f"sweep-{args.target}",
-        "m_list": m_list,
-        "delta_list": delta_list,
-        "repeats": args.repeats,
-        "seed": args.seed,
-        "params": {
-            k: getattr(args, k)
-            for k in ("n", "d", "rho", "eps", "R", "pert_per_point", "ridge", "loss")
-            if hasattr(args, k)
-        },
-    }
-    cells = [(m, delta) for m in m_list for delta in delta_list]
-
-    def run_cell(cell):
-        m, delta = cell
-        outs = []
-        for rep in range(args.repeats):
-            seed = args.seed + rep
-            if args.target == "fit":
-                outs.append(_sweep_cell_fit(args, m, seed))
-            else:
-                outs.append(_sweep_cell_train(args, m, delta, seed))
-        return outs
-
-    results = _pool_map(run_cell, cells)
+    cell_fn = _sweep_cell_fit if args.target == "fit" else _sweep_cell_train
+    cells = [(m, delta) for m in args.m_list for delta in (args.delta_list or [args.delta])]
+    results = _pool_map(
+        lambda cell: [cell_fn(args, *cell, args.seed + rep) for rep in range(args.repeats)],
+        cells,
+    )
     keys = sorted(results[0][0].keys())
     header = ["m", "delta"] + [f"{k}_median" for k in keys]
-    rows = []
-    for (m, delta), outs in zip(cells, results):
-        rows.append(
-            tuple([m, delta] + [statistics.median(o[k] for o in outs) for k in keys])
-        )
-    write_csv(args.out, _meta(config, args.seed), header, rows)
+    rows = [
+        tuple([m, delta] + [statistics.median(o[k] for o in outs) for k in keys])
+        for (m, delta), outs in zip(cells, results)
+    ]
+    write_csv(args.out, _meta(args), header, rows)
     return 0
 
 
@@ -425,10 +344,40 @@ class _UsageError(Exception):
     pass
 
 
+def int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _fit_flags(parser) -> None:
+    """Flags shared by `fit` and `sweep`."""
+    parser.add_argument("--n", type=int, default=20)
+    parser.add_argument("--d", type=int, default=10)
+    parser.add_argument("--delta", type=float, default=0.8)
+    parser.add_argument("--rho", type=float, default=0.05)
+    parser.add_argument("--eps", type=float, default=0.3)
+    parser.add_argument("--pert-per-point", type=int, default=20)
+    parser.add_argument("--ridge", type=float, default=None)
+
+
+def _train_flags(parser) -> None:
+    """Flags shared by `train` and `sweep`."""
+    parser.add_argument("--R", type=float, default=2.0)
+    parser.add_argument("--c-T", dest="c_T", type=float, default=1.0)
+    parser.add_argument("--c-eta", dest="c_eta", type=float, default=1.0)
+    parser.add_argument("--attack", choices=("worst", "random", "identity"), default="worst")
+    parser.add_argument("--attack-steps", type=int, default=20)
+    parser.add_argument("--attack-restarts", type=int, default=3)
+    parser.add_argument("--loss", choices=("absolute", "huber"), default="absolute")
+
+
 def build_parser():
+    """The CLI parser and its per-command subparsers, keyed by command name."""
     p = _Parser(prog="robust-overparam")
     sub = p.add_subparsers(dest="command", required=True)
-    subparser_map: dict[str, argparse.ArgumentParser] = {}
 
     poly = sub.add_parser("poly", help="build and certify a step polynomial")
     poly.add_argument("--delta", type=float, required=True)
@@ -448,7 +397,7 @@ def build_parser():
     sep.set_defaults(func=cmd_separability)
 
     cpl = sub.add_parser("coupling", help="network vs pseudo-network width sweep")
-    cpl.add_argument("--m-list", type=str, required=True)
+    cpl.add_argument("--m-list", type=int_list, required=True)
     cpl.add_argument("--R", type=float, default=2.0)
     cpl.add_argument("--samples", type=int, default=20_000)
     cpl.add_argument("--d", type=int, default=16)
@@ -462,21 +411,15 @@ def build_parser():
     ac = sub.add_parser("anticonc", help="anti-concentration Monte Carlo check")
     ac.add_argument("--m", type=int, default=4096)
     ac.add_argument("--d", type=int, default=16)
-    ac.add_argument("--t-grid", type=str, default="0.01,0.05,0.1,0.5")
+    ac.add_argument("--t-grid", type=float_list, default="0.01,0.05,0.1,0.5")
     ac.add_argument("--trials", type=int, default=100_000)
     ac.add_argument("--seed", type=int, default=1)
     ac.add_argument("--out", type=str, required=True)
     ac.set_defaults(func=cmd_anticonc)
 
     fit = sub.add_parser("fit", help="fit a pseudo-network to the robust interpolant")
-    fit.add_argument("--n", type=int, default=20)
-    fit.add_argument("--d", type=int, default=10)
-    fit.add_argument("--delta", type=float, default=0.8)
-    fit.add_argument("--rho", type=float, default=0.05)
-    fit.add_argument("--eps", type=float, default=0.3)
+    _fit_flags(fit)
     fit.add_argument("--m", type=int, required=True)
-    fit.add_argument("--pert-per-point", type=int, default=20)
-    fit.add_argument("--ridge", type=float, default=None)
     fit.add_argument("--seed", type=int, default=7)
     fit.add_argument("--out", type=str, required=True)
     fit.set_defaults(func=cmd_fit)
@@ -487,13 +430,7 @@ def build_parser():
     tr.add_argument("--rho", type=float, required=True)
     tr.add_argument("--m", type=int, required=True)
     tr.add_argument("--eps", type=float, required=True)
-    tr.add_argument("--R", type=float, default=2.0)
-    tr.add_argument("--c-T", dest="c_T", type=float, default=1.0)
-    tr.add_argument("--c-eta", dest="c_eta", type=float, default=1.0)
-    tr.add_argument("--attack", choices=("worst", "random", "identity"), default="worst")
-    tr.add_argument("--attack-steps", type=int, default=20)
-    tr.add_argument("--attack-restarts", type=int, default=3)
-    tr.add_argument("--loss", choices=("absolute", "huber"), default="absolute")
+    _train_flags(tr)
     tr.add_argument("--seed", type=int, default=1)
     tr.add_argument("--trace", type=str, default=None)
     tr.add_argument("--summary", type=str, default=None)
@@ -501,34 +438,18 @@ def build_parser():
 
     sw = sub.add_parser("sweep", help="cartesian sweep over m/delta lists")
     sw.add_argument("target", choices=("fit", "train"))
-    sw.add_argument("--m-list", type=str, required=True)
-    sw.add_argument("--delta-list", type=str, default=None)
+    sw.add_argument("--m-list", type=int_list, required=True)
+    sw.add_argument("--delta-list", type=float_list, default=None)
     sw.add_argument("--repeats", type=int, default=3)
     sw.add_argument("--seed", type=int, default=1)
-    sw.add_argument("--n", type=int, default=20)
-    sw.add_argument("--d", type=int, default=10)
-    sw.add_argument("--delta", type=float, default=0.8)
-    sw.add_argument("--rho", type=float, default=0.05)
-    sw.add_argument("--eps", type=float, default=0.3)
-    sw.add_argument("--R", type=float, default=2.0)
-    sw.add_argument("--c-T", dest="c_T", type=float, default=1.0)
-    sw.add_argument("--c-eta", dest="c_eta", type=float, default=1.0)
-    sw.add_argument("--pert-per-point", type=int, default=20)
-    sw.add_argument("--ridge", type=float, default=None)
-    sw.add_argument("--loss", choices=("absolute", "huber"), default="absolute")
-    sw.add_argument("--attack", choices=("worst", "random", "identity"), default="worst")
-    sw.add_argument("--attack-steps", type=int, default=20)
-    sw.add_argument("--attack-restarts", type=int, default=3)
+    _fit_flags(sw)
+    _train_flags(sw)
     sw.add_argument("--out", type=str, required=True)
     sw.set_defaults(func=cmd_sweep)
 
-    for name, parser in (
-        ("poly", poly), ("separability", sep), ("coupling", cpl),
-        ("anticonc", ac), ("fit", fit), ("train", tr), ("sweep", sw),
-    ):
+    for parser in sub.choices.values():
         parser.add_argument("--config", type=str, default=None, help="JSON file with flag defaults")
-        subparser_map[name] = parser
-    return p, subparser_map
+    return p, sub.choices
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -565,7 +486,7 @@ def run(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CertificationError, SeparabilityError) as exc:
+    except (CertificationError, SeparabilityError, FitDegenerateError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
     except (ValueError, FileNotFoundError) as exc:

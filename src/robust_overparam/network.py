@@ -17,7 +17,7 @@ from scipy.special import ndtr
 from .rng import stream
 
 # rows of X are points; W has one column per hidden unit
-_CHUNK = 512
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,31 @@ def grad_loss_pseudo(state: NetworkState, X, y, loss) -> np.ndarray:
     return (X.T @ weights) / len(X)
 
 
-def coupling_gap(state: NetworkState, sample) -> float:
-    """max over the sample of |f_W(x) - g_W(x)|; a lower bound on the sup."""
+def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
+    """Network-vs-pseudo-network comparison over the sample, in one pass.
+
+    Returns the gap max |f_W(x) - g_W(x)| over the sample (a lower bound on
+    the sup) and a per-unit mask of units whose activation on some sample
+    point differs from initialization.  Rows are scanned in chunks; at the
+    largest widths the chunk-times-width matrices dominate the cost.
+    """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise ValueError("empty sample")
     init = state.init
     dW = state.W - init.W0
     gap = 0.0
+    flipped = np.zeros(init.m, dtype=bool)
     for lo in range(0, len(sample), _CHUNK):
         X = sample[lo : lo + _CHUNK]
         pre0 = X @ init.W0 + init.b0
-        f = np.maximum(pre0 + X @ dW, 0.0) @ init.a0
-        g = ((X @ dW) * (pre0 >= 0)) @ init.a0
+        shift = X @ dW
+        f = np.maximum(pre0 + shift, 0.0) @ init.a0
+        mask0 = pre0 >= 0
+        g = (shift * mask0) @ init.a0
         gap = max(gap, float(np.max(np.abs(f - g))))
-    return gap
+        flipped |= (((pre0 + shift) >= 0) != mask0).any(axis=0)
+    return gap, flipped
 
 
 def gradient_coupling_norm(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -148,19 +158,6 @@ def weight_norms(W: np.ndarray, W0: np.ndarray) -> WeightNorms:
         two_one=float(col.sum()),
         frob=float(np.linalg.norm(W - W0)),
     )
-
-
-def activation_flip_count(state: NetworkState, points) -> int:
-    """Units whose sign pattern differs from initialization on any point."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    init = state.init
-    flipped = np.zeros(init.m, dtype=bool)
-    for lo in range(0, len(X), _CHUNK):
-        chunk = X[lo : lo + _CHUNK]
-        now = (chunk @ state.W + init.b0) >= 0
-        was = (chunk @ init.W0 + init.b0) >= 0
-        flipped |= (now != was).any(axis=0)
-    return int(flipped.sum())
 
 
 def perturbed_state(state: NetworkState, deviation_scale: float, seed: int) -> NetworkState:

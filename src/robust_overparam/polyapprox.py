@@ -436,6 +436,8 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
     certified plateaus onto [1 - rho^2/2, 1] (where q ~ 1) and
     [-1, 1 - (delta-rho)^2/2] (where q ~ 0); both are grid-certified here.
     """
+    if cert_grid < 2:
+        raise ValueError("cert_grid must be at least 2")
     ptil = compressed_sign_poly(spec.eta_gap, spec.eps1)
     alpha = spec.alpha_shift
     base_eval = ptil._evaluator

@@ -18,7 +18,7 @@ from .dataspace import Dataset
 from .network import (
     InitSnapshot,
     NetworkState,
-    coupling_gap,
+    coupling_scan,
     forward_real,
     grad_loss_real,
     weight_norms,
@@ -183,7 +183,7 @@ def adversarial_train(
         grad = grad_loss_real(cur, Xt, dataset.y, loss)
         norms = weight_norms(W, init.W0)
         grad_cols = np.linalg.norm(grad, axis=0)
-        gap = coupling_gap(cur, Xt)
+        gap = coupling_scan(cur, Xt)[0]
 
         drift_bound = hp.eta * t * m_third + DRIFT_SLACK
         if norms.two_inf > drift_bound:

@@ -1,11 +1,12 @@
 """Tests for the CLI surface: exit codes, file formats, determinism."""
 
 import json
+import stat
 
 import numpy as np
 import pytest
 
-from robust_overparam.harness import run
+from robust_overparam.harness import atomic_write_text, build_parser, run
 
 
 def _read(path):
@@ -32,6 +33,13 @@ class TestPolyCommand:
         code = run(["poly", "--delta", "0.2", "--rho", "0.2", "--eps1", "0.1"])
         assert code == 1
         assert "SeparabilityError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1", "0"])
+    def test_cert_grid_below_two_is_usage_error(self, grid, capsys):
+        # one grid point per plateau certifies nothing
+        code = run(["poly", "--delta", "0.8", "--rho", "0.05", "--eps1", "0.01", "--cert-grid", grid])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
 class TestSeparabilityCommand:
@@ -96,6 +104,12 @@ class TestTrainCommand:
         assert code == 1
         assert "SeparabilityError" in capsys.readouterr().err
 
+    def test_synth_missing_key_is_usage_error(self, capsys):
+        code = run(["train", "--synth", "n=20,d=10", "--rho", "0.05", "--m", "64", "--eps", "0.5"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "delta" in err["message"]
+
 
 class TestAnticoncCommand:
     def test_table(self, tmp_path):
@@ -122,6 +136,17 @@ class TestFitCommand:
         doc = json.loads(_read(out))
         assert doc["sample_size"] == 6 + 6 * 5
         assert doc["max_error"] >= 0.0 and doc["r_star"] > 0.0
+
+    def test_degenerate_features_exit_one(self, tmp_path, capsys):
+        # the single unit is inactive on every sample point
+        out = tmp_path / "fit.json"
+        code = run([
+            "fit", "--n", "4", "--d", "6", "--delta", "0.8", "--m", "1",
+            "--pert-per-point", "2", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FitDegenerateError"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -169,6 +194,28 @@ class TestSweepCommand:
         assert lines[1].startswith("m,delta,best_robust_loss_median")
         assert len(lines) == 4  # meta + header + 2 cells
         assert all(ln.split(",")[-1] == "0.0" for ln in lines[2:])  # no violations
+
+    def test_fit_sweep_cell_uses_its_delta(self, tmp_path):
+        out, single = tmp_path / "agg.csv", tmp_path / "single.json"
+        assert run(self.BASE[:2] + ["--m-list", "256", "--delta-list", "0.5", "--repeats", "1"]
+                   + self.BASE[4:] + ["--out", str(out)]) == 0
+        row = dict(zip(*(ln.split(",") for ln in _read(out).strip().split("\n")[1:])))
+        assert run([
+            "fit", "--n", "6", "--d", "6", "--delta", "0.5", "--rho", "0.05", "--eps", "0.3",
+            "--m", "256", "--pert-per-point", "5", "--seed", "6", "--out", str(single),
+        ]) == 0
+        assert float(row["max_error_median"]) == json.loads(_read(single))["max_error"]
+
+    def test_meta_records_attack_flags(self, tmp_path):
+        metas = []
+        for steps in ("1", "5"):
+            out = tmp_path / f"tr{steps}.csv"
+            assert run([
+                "sweep", "train", "--m-list", "64", "--repeats", "1", "--n", "4", "--d", "6",
+                "--eps", "0.5", "--R", "1", "--attack-steps", steps, "--out", str(out),
+            ]) == 0
+            metas.append(_read(out).split("\n")[0])
+        assert metas[0] != metas[1]
 
 
 class TestCouplingCommand:
@@ -234,3 +281,53 @@ class TestAnticoncDeterminism:
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert _read(a) == _read(b)
+
+
+# flags that name output files; with --config they are the only flags kept
+# out of the embedded meta
+OUTPUT_FLAGS = {"out", "emit", "hist", "trace", "summary", "grad_out"}
+
+PROVENANCE_RUNS = {
+    "poly": (["--delta", "0.8", "--rho", "0.05", "--eps1", "0.1", "--emit"], "json"),
+    "separability": (["--synth", "n=6,d=6,delta=0.5", "--rho", "0.05", "--out"], "json"),
+    "coupling": (["--m-list", "64", "--samples", "100", "--d", "6", "--seeds", "1", "--out"], "csv"),
+    "anticonc": (["--m", "64", "--d", "8", "--t-grid", "0.1", "--trials", "10000", "--out"], "csv"),
+    "fit": (["--n", "6", "--d", "6", "--m", "128", "--pert-per-point", "2", "--out"], "json"),
+    "train": (["--synth", "n=4,d=6,delta=0.8", "--rho", "0.05", "--m", "64", "--eps", "0.5",
+               "--R", "1", "--attack-steps", "1", "--summary"], "json"),
+    "sweep": (["fit", "--m-list", "128", "--repeats", "1", "--n", "6", "--d", "6",
+               "--pert-per-point", "2", "--out"], "csv"),
+}
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("command", sorted(PROVENANCE_RUNS))
+    def test_meta_holds_every_resolved_flag(self, command, tmp_path):
+        flags, kind = PROVENANCE_RUNS[command]
+        out = tmp_path / f"out.{kind}"
+        assert run([command] + flags + [str(out)]) == 0
+        if kind == "json":
+            meta = json.loads(_read(out))["meta"]
+        else:
+            meta = json.loads(_read(out).split("\n")[0][len("# meta "):])
+        _, commands = build_parser()
+        dests = {a.dest for a in commands[command]._actions} - {"help", "config"} - OUTPUT_FLAGS
+        assert set(meta["config"]) == dests | {"command"}
+        assert meta["config"]["command"] == command
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_target_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(target), "new\ud800")  # a lone surrogate cannot be encoded
+        assert _read(target) == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain, atomic = tmp_path / "plain.txt", tmp_path / "atomic.txt"
+        with open(plain, "w") as fh:
+            fh.write("x")
+        atomic_write_text(str(atomic), "x")
+        assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)

@@ -9,9 +9,8 @@ from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     InitSnapshot,
     NetworkState,
-    activation_flip_count,
     anti_concentration_check,
-    coupling_gap,
+    coupling_scan,
     forward_pseudo,
     forward_real,
     grad_loss_pseudo,
@@ -214,13 +213,13 @@ class TestCoupling:
     def test_gap_at_init_is_forward_magnitude(self):
         st = init_network(256, 6, seed=9)
         X = uniform_domain_sample(500, 6, stream(9, "x"))
-        gap = coupling_gap(st, X)
+        gap, _ = coupling_scan(st, X)
         assert gap == pytest.approx(np.max(np.abs(forward_real(st, X))), abs=1e-15)
 
     def test_gap_deterministic(self):
         st = perturbed_state(init_network(256, 6, seed=9), 2.0, seed=9)
         X = uniform_domain_sample(500, 6, stream(9, "x"))
-        assert coupling_gap(st, X) == coupling_gap(st, X)
+        assert coupling_scan(st, X)[0] == coupling_scan(st, X)[0]
 
     def test_gradient_coupling_norm(self):
         g = np.random.default_rng(3).standard_normal((5, 7))
@@ -242,14 +241,14 @@ class TestCoupling:
     def test_flip_count_zero_at_init(self):
         st = init_network(128, 5, seed=10)
         X = uniform_domain_sample(100, 5, stream(10, "x"))
-        assert activation_flip_count(st, X) == 0
+        assert coupling_scan(st, X)[1].sum() == 0
 
     def test_single_constructed_flip(self):
         st = _tiny_state([[1.0, 1.0], [0.0, 0.0]], [0.1, 5.0], [1.0, -1.0])
         x = np.array([R, 0.5])
         W = st.W.copy()
         W[:, 0] = [-10.0, 0.0]  # unit 0 flips on x, unit 1 stays active
-        assert activation_flip_count(st.with_weights(W), x[None, :]) == 1
+        assert coupling_scan(st.with_weights(W), x[None, :])[1].sum() == 1
 
     def test_single_point_flip_fraction_shrinks_with_width(self):
         # per-point flip probability scales like m^(-1/6) at fixed deviation scale
@@ -258,7 +257,7 @@ class TestCoupling:
         for m in (1024, 4096, 16384):
             st = perturbed_state(init_network(m, 8, seed=13), 2.0, seed=13)
             x = uniform_domain_sample(1, 8, stream(13, "x"))
-            fracs.append(activation_flip_count(st, x) / m)
+            fracs.append(coupling_scan(st, x)[1].sum() / m)
         assert fracs[0] > fracs[1] > fracs[2]
 
 
