@@ -6,6 +6,12 @@ multi-restart projected gradient ascent; identity and random baselines are
 rho-bounded by construction.  Per-example randomness is keyed by
 (seed, tag, example index, restart) so attacks are reproducible under any
 scheduling and larger restart counts extend, not reshuffle, smaller ones.
+
+Each PGA iterate is evaluated once: one X @ W + b gives the pre-activations,
+from which the loss, its slope, the activation mask and the input gradient
+all follow, and the evaluation after a projection is the next step's forward
+pass.  The n x m pre-activation, activation and mask arrays are workspaces
+allocated once per attack_batch call and refilled in place by every iterate.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataspace import HEAD_RADIUS, validate_domain
-from .network import NetworkState, forward_real
+from .network import NetworkState, _loss_slopes
 from .rng import stream
 
 _PROJECT_ROUNDS = 50
@@ -52,9 +58,31 @@ def input_gradient(state: NetworkState, x, y, loss) -> np.ndarray:
 
 
 def _input_gradient_batch(state: NetworkState, X, y, loss) -> np.ndarray:
-    lp = np.asarray(loss.slope(forward_real(state, X), y), dtype=float)
-    mask = (X @ state.W + state.init.b0) >= 0
-    return lp[:, None] * ((mask * state.init.a0) @ state.W.T)
+    ws = _Workspace(state, len(X))
+    return ws.input_gradient(_loss_slopes(loss, ws.forward(X), y))
+
+
+class _Workspace:
+    """n x m buffers that every evaluation of an n-point batch refills in place."""
+
+    def __init__(self, state: NetworkState, n: int):
+        self.state = state
+        self.pre = np.empty((n, state.init.m))
+        self.act = np.empty((n, state.init.m))
+        self.mask = np.empty((n, state.init.m), dtype=bool)
+
+    def forward(self, X) -> np.ndarray:
+        """network.forward_real(state, X), op for op; keeps X @ W + b0 in pre."""
+        np.matmul(X, self.state.W, out=self.pre)
+        self.pre += self.state.init.b0
+        np.maximum(self.pre, 0.0, out=self.act)
+        return self.act @ self.state.init.a0
+
+    def input_gradient(self, slopes: np.ndarray) -> np.ndarray:
+        """slopes * sum_r a_r W_r 1{active} at the points of the last forward."""
+        np.greater_equal(self.pre, 0.0, out=self.mask)
+        np.multiply(self.mask, self.state.init.a0, out=self.act)
+        return slopes[:, None] * (self.act @ self.state.W.T)
 
 
 def project_to_cap(z, center, rho: float) -> np.ndarray:
@@ -118,15 +146,36 @@ def _project_cap_batch(Z: np.ndarray, centers: np.ndarray, rho: float) -> np.nda
     return out
 
 
-def random_cap_point(x: np.ndarray, rho: float, rng) -> np.ndarray:
-    """Projection of a uniform-in-ball perturbation of x onto the cap."""
+def _cap_draw(x: np.ndarray, rho: float, rng) -> np.ndarray | None:
+    """x plus a uniform draw from the rho-ball, or None for a zero direction."""
     d = len(x)
     direction = rng.standard_normal(d)
     norm = np.linalg.norm(direction)
     if norm == 0.0:
-        return x.copy()
+        return None
     radius = rho * rng.uniform() ** (1.0 / d)
-    return project_to_cap(x + (radius / norm) * direction, x, rho)
+    return x + (radius / norm) * direction
+
+
+def random_cap_point(x: np.ndarray, rho: float, rng) -> np.ndarray:
+    """Projection of a uniform-in-ball perturbation of x onto the cap."""
+    z = _cap_draw(x, rho, rng)
+    return x.copy() if z is None else project_to_cap(z, x, rho)
+
+
+def _random_cap_batch(X: np.ndarray, rho: float, rngs) -> np.ndarray:
+    """random_cap_point for each row X[i] with rngs[i], projected in one batch."""
+    Z = X.copy()
+    undrawn = np.zeros(len(X), dtype=bool)
+    for i, rng in enumerate(rngs):
+        z = _cap_draw(X[i], rho, rng)
+        if z is None:
+            undrawn[i] = True
+        else:
+            Z[i] = z
+    out = _project_cap_batch(Z, X, rho)
+    out[undrawn] = X[undrawn]
+    return out
 
 
 def attack_worst_case(state, x, y, loss, cfg: AttackConfig, index: int = 0, tag: int = 0):
@@ -146,30 +195,30 @@ def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0, index_base:
     """Vectorized worst-case attack over a batch, one RNG stream per example."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    n, d = X.shape
+    n = len(X)
     step = cfg.resolved_step_size
+    ws = _Workspace(state, n)
     best_x = X.copy()
-    best_l = np.asarray(loss.value(forward_real(state, X), y), dtype=float)
+    preds = ws.forward(X)
+    best_l = np.asarray(loss.value(preds, y), dtype=float)
     for r in range(cfg.restarts):
         if r == 0:
-            cur = X.copy()
+            cur = X
         else:
-            cur = np.vstack(
-                [
-                    random_cap_point(X[i], cfg.rho, stream(cfg.seed, "attack", tag, index_base + i, r))
-                    for i in range(n)
-                ]
-            )
-            _consider(state, cur, y, loss, best_x, best_l)
+            rngs = [stream(cfg.seed, "attack", tag, index_base + i, r) for i in range(n)]
+            cur = _random_cap_batch(X, cfg.rho, rngs)
+            preds = ws.forward(cur)
+            _consider(cur, loss.value(preds, y), best_x, best_l)
         for _ in range(cfg.steps):
-            grad = _input_gradient_batch(state, cur, y, loss)
+            grad = ws.input_gradient(_loss_slopes(loss, preds, y))
             cur = _project_cap_batch(cur + step * grad, X, cfg.rho)
-            _consider(state, cur, y, loss, best_x, best_l)
+            preds = ws.forward(cur)
+            _consider(cur, loss.value(preds, y), best_x, best_l)
     return best_x
 
 
-def _consider(state, cur, y, loss, best_x, best_l):
-    l = np.asarray(loss.value(forward_real(state, cur), y), dtype=float)
+def _consider(cur, losses, best_x, best_l):
+    l = np.asarray(losses, dtype=float)
     upd = l > best_l
     if np.any(upd):
         best_l[upd] = l[upd]
@@ -207,7 +256,8 @@ class RandomAdversary:
 
     def perturb(self, state, X, y, loss, tag: int = 0) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.vstack([attack_random(X[i], self.cfg, index=i, tag=tag) for i in range(len(X))])
+        rngs = [stream(self.cfg.seed, "attack-rand", tag, i) for i in range(len(X))]
+        return _random_cap_batch(X, self.cfg.rho, rngs)
 
 
 class IdentityAdversary:

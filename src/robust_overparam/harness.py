@@ -137,7 +137,15 @@ def _dataset_from_args(args) -> Dataset:
     if getattr(args, "input", None):
         return load_csv(args.input)
     if getattr(args, "synth", None):
-        kv = dict(part.split("=") for part in args.synth.split(","))
+        kv = {}
+        for part in args.synth.split(","):
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"--synth part {part!r} is not key=value; expected n=..,d=..,delta=..")
+            kv[key] = value
+        unknown = sorted(set(kv) - {"n", "d", "delta"})
+        if unknown:
+            raise ValueError(f"--synth has unknown keys {unknown}; expected n=..,d=..,delta=..")
         try:
             n, d, delta = int(kv["n"]), int(kv["d"]), float(kv["delta"])
         except KeyError as exc:
@@ -344,6 +352,13 @@ class _UsageError(Exception):
     pass
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
@@ -401,7 +416,7 @@ def build_parser():
     cpl.add_argument("--R", type=float, default=2.0)
     cpl.add_argument("--samples", type=int, default=20_000)
     cpl.add_argument("--d", type=int, default=16)
-    cpl.add_argument("--seeds", type=int, default=3)
+    cpl.add_argument("--seeds", type=positive_int, default=3)
     cpl.add_argument("--seed", type=int, default=1)
     cpl.add_argument("--batch-n", type=int, default=20)
     cpl.add_argument("--out", type=str, required=True)
@@ -440,7 +455,7 @@ def build_parser():
     sw.add_argument("target", choices=("fit", "train"))
     sw.add_argument("--m-list", type=int_list, required=True)
     sw.add_argument("--delta-list", type=float_list, default=None)
-    sw.add_argument("--repeats", type=int, default=3)
+    sw.add_argument("--repeats", type=positive_int, default=3)
     sw.add_argument("--seed", type=int, default=1)
     _fit_flags(sw)
     _train_flags(sw)

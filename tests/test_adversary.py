@@ -14,6 +14,7 @@ from robust_overparam.adversary import (
     input_gradient,
     make_adversary,
     project_to_cap,
+    random_cap_point,
 )
 from robust_overparam.dataspace import uniform_domain_sample, validate_domain
 from robust_overparam.network import InitSnapshot, NetworkState, forward_real, init_network
@@ -172,8 +173,6 @@ class TestWorstCaseAttack:
         x = uniform_domain_sample(1, 3, stream(20, "x"))[0]
         y = 1.0
         rng = stream(20, "oracle")
-        from robust_overparam.adversary import random_cap_point
-
         cand = np.vstack([random_cap_point(x, 0.1, rng) for _ in range(100_000)])
         oracle = float(np.max(LOSS.value(forward_real(st, cand), y)))
         cfg = AttackConfig(rho=0.1, steps=20, restarts=3, seed=4)
@@ -185,6 +184,86 @@ class TestWorstCaseAttack:
         cfg = AttackConfig(rho=0.1)
         with pytest.raises(ValueError):
             attack_worst_case(st, np.array([1.0, 0.0, 0.0]), 1.0, LOSS, cfg)
+
+
+def _reference_attack(st, X, y, loss, cfg, tag=0):
+    """Multi-restart PGA composed from the public pieces, one call per stage."""
+    step = cfg.resolved_step_size
+    best_x = X.copy()
+    best_l = loss.value(forward_real(st, X), y)
+
+    def consider(cur):
+        l = loss.value(forward_real(st, cur), y)
+        upd = l > best_l
+        best_l[upd] = l[upd]
+        best_x[upd] = cur[upd]
+
+    for r in range(cfg.restarts):
+        if r == 0:
+            cur = X.copy()
+        else:
+            cur = np.vstack(
+                [random_cap_point(X[i], cfg.rho, stream(cfg.seed, "attack", tag, i, r)) for i in range(len(X))]
+            )
+            consider(cur)
+        for _ in range(cfg.steps):
+            cur = project_to_cap(cur + step * input_gradient(st, cur, y, loss), X, cfg.rho)
+            consider(cur)
+    return best_x
+
+
+class TestAttackPinned:
+    """attack_batch equals the stage-by-stage composition bit for bit."""
+
+    # n x m x 8 B = 192 KiB, above glibc malloc's default 128 KiB mmap threshold
+    N, M, D = 6, 4096, 8
+
+    def _setup(self, seed):
+        st = init_network(self.M, self.D, seed=seed)
+        X = uniform_domain_sample(self.N, self.D, stream(seed, "x"))
+        y = np.array([1.0, -1.0] * (self.N // 2))
+        return st, X, y
+
+    @pytest.mark.parametrize("loss_tag", ["absolute", "huber"])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_matches_reference(self, loss_tag, restarts, steps):
+        st, X, y = self._setup(21)
+        loss = make_loss(loss_tag)
+        cfg = AttackConfig(rho=0.1, steps=steps, restarts=restarts, seed=6)
+        W = st.W.copy()
+        out = attack_batch(st, X, y, loss, cfg, tag=4)
+        assert np.array_equal(out, _reference_attack(st, X, y, loss, cfg, tag=4))
+        assert np.array_equal(st.W, W)
+        assert not np.shares_memory(out, st.W)
+
+    def test_repeat_calls_agree(self):
+        st, X, y = self._setup(22)
+        cfg = AttackConfig(rho=0.1, steps=5, restarts=3, seed=8)
+        a = attack_batch(st, X, y, LOSS, cfg, tag=1)
+        b = attack_batch(st, X, y, LOSS, cfg, tag=1)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("loss_tag", ["absolute", "huber"])
+    def test_input_gradient_formula(self, loss_tag):
+        st, X, y = self._setup(23)
+        loss = make_loss(loss_tag)
+        W = st.W.copy()
+        g = input_gradient(st, X, y, loss)
+        slopes = loss.slope(forward_real(st, X), y)
+        mask = (X @ st.W + st.init.b0) >= 0
+        assert np.array_equal(g, slopes[:, None] * ((mask * st.init.a0) @ st.W.T))
+        assert np.array_equal(st.W, W)
+        assert not np.shares_memory(g, st.W)
+
+    def test_random_adversary_matches_per_example(self):
+        st, X, y = self._setup(24)
+        cfg = AttackConfig(rho=0.3, seed=10)
+        adv = make_adversary("random", cfg)
+        out = adv.perturb(st, X, y, LOSS, tag=5)
+        ref = np.vstack([attack_random(X[i], cfg, index=i, tag=5) for i in range(len(X))])
+        assert np.array_equal(out, ref)
+        assert np.array_equal(out, adv.perturb(st, X, y, LOSS, tag=5))
 
 
 class TestBaselines:

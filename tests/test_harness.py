@@ -110,6 +110,17 @@ class TestTrainCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and "delta" in err["message"]
 
+    @pytest.mark.parametrize(
+        "spec, named", [("n=6,d=6,delta=0.8,dleta=3", "dleta"), ("n=6,d=6,delta", "'delta'")]
+    )
+    def test_synth_bad_part_is_usage_error(self, spec, named, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code = run(["separability", "--synth", spec, "--rho", "0.05", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and named in err["message"]
+        assert not out.exists()
+
 
 class TestAnticoncCommand:
     def test_table(self, tmp_path):
@@ -218,6 +229,19 @@ class TestSweepCommand:
         assert metas[0] != metas[1]
 
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_is_usage_error(self, repeats, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = run([
+            "sweep", "fit", "--m-list", "64", "--repeats", repeats, "--n", "4", "--d", "6",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "--repeats" in err["message"]
+        assert not out.exists()
+
+
 class TestCouplingCommand:
     def test_small_sweep(self, tmp_path):
         out, grad = tmp_path / "c.csv", tmp_path / "g.csv"
@@ -233,6 +257,18 @@ class TestCouplingCommand:
         assert float(rows[1][2]) < float(rows[0][2])  # gap shrinks with width
         glines = _read(grad).strip().split("\n")
         assert glines[1] == "m,R,grad_ratio_median"
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_is_usage_error(self, seeds, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        code = run([
+            "coupling", "--m-list", "64", "--samples", "100", "--d", "6", "--seeds", seeds,
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "--seeds" in err["message"]
+        assert not out.exists()
 
 
 class TestSnapshotRoundtrip:
