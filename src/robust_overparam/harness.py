@@ -192,7 +192,12 @@ def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: i
 
 
 def cmd_coupling(args) -> int:
-    jobs = [(m, args.seed + r) for m in args.m_list for r in range(args.seeds)]
+    # widest cells first, so the slowest one starts at once beside the small
+    # ones; the sort is stable, so each width keeps its seeds in order
+    jobs = sorted(
+        ((m, args.seed + r) for m in args.m_list for r in range(args.seeds)),
+        key=lambda job: -job[0],
+    )
     results = _pool_map(
         lambda job: _coupling_cell(job[0], args.d, args.R, args.samples, args.batch_n, job[1]),
         jobs,
@@ -471,6 +476,22 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
+def _config_value(action, key: str, value):
+    """A --config value parsed as its flag's text would be: through its type and choices."""
+    if value is None and action.default is None and not action.required:
+        return None
+    if action.type is not None:
+        if isinstance(value, list) and action.type in (int_list, float_list):
+            value = ",".join(str(v) for v in value)
+        try:
+            value = action.type(value if isinstance(value, str) else str(value))
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+            raise _UsageError(f"config key {key!r}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise _UsageError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
+    return value
+
+
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -484,11 +505,13 @@ def run(argv=None) -> int:
             command = next((a for a in argv if not a.startswith("-")), None)
             if command not in subparser_map:
                 raise _UsageError(f"unknown command for --config: {command!r}")
-            known = {a.dest for a in subparser_map[command]._actions}
-            bad = set(defaults) - known
+            actions = {a.dest: a for a in subparser_map[command]._actions}
+            bad = set(defaults) - set(actions)
             if bad:
                 raise _UsageError(f"unknown config keys: {sorted(bad)}")
-            subparser_map[command].set_defaults(**defaults)
+            subparser_map[command].set_defaults(
+                **{key: _config_value(actions[key], key, value) for key, value in defaults.items()}
+            )
             for action in subparser_map[command]._actions:
                 if action.dest in defaults:
                     action.required = False

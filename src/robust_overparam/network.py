@@ -123,7 +123,12 @@ def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
     Returns the gap max |f_W(x) - g_W(x)| over the sample (a lower bound on
     the sup) and a per-unit mask of units whose activation on some sample
     point differs from initialization.  Rows are scanned in chunks; at the
-    largest widths the chunk-times-width matrices dominate the cost.
+    largest widths the chunk-times-width matrices dominate the cost, so two
+    float and two bool chunk workspaces are allocated once per call and
+    refilled in place for every chunk (a last partial chunk uses their
+    leading rows).  On each chunk X the in-place steps are the operations of
+    pre0 = X @ W0 + b0, shift = X @ (W - W0), f = relu(pre0 + shift) @ a0,
+    g = (shift * 1{pre0 >= 0}) @ a0, flip = 1{pre0 + shift >= 0} != 1{pre0 >= 0}.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
@@ -132,15 +137,28 @@ def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
     dW = state.W - init.W0
     gap = 0.0
     flipped = np.zeros(init.m, dtype=bool)
+    rows = min(_CHUNK, len(sample))
+    pre_buf = np.empty((rows, init.m))
+    shift_buf = np.empty((rows, init.m))
+    on0_buf = np.empty((rows, init.m), dtype=bool)
+    on_buf = np.empty((rows, init.m), dtype=bool)
     for lo in range(0, len(sample), _CHUNK):
         X = sample[lo : lo + _CHUNK]
-        pre0 = X @ init.W0 + init.b0
-        shift = X @ dW
-        f = np.maximum(pre0 + shift, 0.0) @ init.a0
-        mask0 = pre0 >= 0
-        g = (shift * mask0) @ init.a0
+        k = len(X)
+        pre, shift, on0, on = pre_buf[:k], shift_buf[:k], on0_buf[:k], on_buf[:k]
+        np.matmul(X, init.W0, out=pre)
+        pre += init.b0
+        np.greater_equal(pre, 0.0, out=on0)
+        np.matmul(X, dW, out=shift)
+        pre += shift
+        np.greater_equal(pre, 0.0, out=on)
+        np.maximum(pre, 0.0, out=pre)
+        f = pre @ init.a0
+        shift *= on0
+        g = shift @ init.a0
         gap = max(gap, float(np.max(np.abs(f - g))))
-        flipped |= (((pre0 + shift) >= 0) != mask0).any(axis=0)
+        np.not_equal(on, on0, out=on)
+        flipped |= on.any(axis=0)
     return gap, flipped
 
 

@@ -372,11 +372,12 @@ def test_criterion_12_determinism(tmp_path, coupling_run):
     assert t1.read_text() == t2.read_text()
     assert s1.read_text() == s2.read_text()
 
-    out1, _, _ = coupling_run
+    out1, grad1, _ = coupling_run
     out2 = tmp_path / "coupling2.csv"
     grad2 = tmp_path / "grad2.csv"
     assert run(COUPLING_ARGS + ["--out", str(out2), "--grad-out", str(grad2)]) == 0
     assert out1.read_text() == out2.read_text()
+    assert grad1.read_text() == grad2.read_text()
 
     sep_args = [
         "separability", "--synth", f"n={N},d={D},delta=0.8", "--rho", str(RHO), "--seed", str(SEED),

@@ -270,6 +270,23 @@ class TestCouplingCommand:
         assert err["error"] == "usage" and "--seeds" in err["message"]
         assert not out.exists()
 
+    def test_rows_follow_m_list_order(self, tmp_path):
+        flags = ["--samples", "300", "--d", "6", "--seeds", "2", "--seed", "4"]
+
+        def rows(m_list, name):
+            out, grad = tmp_path / f"{name}.csv", tmp_path / f"{name}_g.csv"
+            assert run(["coupling", "--m-list", m_list] + flags
+                       + ["--out", str(out), "--grad-out", str(grad)]) == 0
+            # drop the meta line, which records --m-list
+            return _read(out).split("\n")[2:-1], _read(grad).split("\n")[2:-1]
+
+        both, both_g = rows("4096,1024", "both")
+        wide, wide_g = rows("4096", "wide")
+        narrow, narrow_g = rows("1024", "narrow")
+        assert [r.split(",")[0] for r in both] == ["4096", "1024"]
+        assert both == wide + narrow
+        assert both_g == wide_g + narrow_g
+
 
 class TestSnapshotRoundtrip:
     def test_save_load(self, tmp_path):
@@ -283,6 +300,11 @@ class TestSnapshotRoundtrip:
         assert back.init.m == 64 and back.init.d == 5 and back.init.seed == 77
         assert np.array_equal(back.W, W)
         assert np.array_equal(back.init.W0, st.init.W0)
+
+
+# small runs whose config keys the --config tests vary
+SMALL_COUPLING = ["coupling", "--samples", "100", "--d", "6"]
+SMALL_TRAIN = ["train", "--synth", "n=4,d=6,delta=0.8", "--rho", "0.05", "--eps", "0.5"]
 
 
 class TestConfigFile:
@@ -307,6 +329,32 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"nope": 1}))
         assert run(["poly", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_config_list_flag_parsed_as_on_command_line(self, tmp_path):
+        argv = SMALL_COUPLING + ["--seeds", "1"]
+        flag_out = tmp_path / "flag.csv"
+        assert run(argv + ["--m-list", "64", "--out", str(flag_out)]) == 0
+        for i, value in enumerate([64, [64], "64"]):
+            cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"z{i}.csv"
+            cfg.write_text(json.dumps({"m_list": value}))
+            assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+            assert _read(out) == _read(flag_out)
+
+    @pytest.mark.parametrize("argv,cfg_value", [
+        (SMALL_COUPLING + ["--m-list", "64"], {"seeds": 0}),
+        (SMALL_COUPLING, {"m_list": [64, "x"]}),
+        (SMALL_TRAIN + ["--m", "64"], {"R": "two"}),
+        (SMALL_TRAIN + ["--m", "64"], {"attack": "nope"}),
+        (SMALL_TRAIN, {"m": None}),
+    ])
+    def test_bad_config_value_is_usage_error(self, argv, cfg_value, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(cfg_value))
+        out_flag = "--out" if argv[0] == "coupling" else "--summary"
+        assert run(argv + ["--config", str(cfg), out_flag, str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and repr(next(iter(cfg_value))) in err["message"]
+        assert not out.exists()
 
 
 class TestAnticoncDeterminism:

@@ -7,6 +7,7 @@ import pytest
 
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
+    _CHUNK,
     InitSnapshot,
     NetworkState,
     anti_concentration_check,
@@ -259,6 +260,61 @@ class TestCoupling:
             x = uniform_domain_sample(1, 8, stream(13, "x"))
             fracs.append(coupling_scan(st, x)[1].sum() / m)
         assert fracs[0] > fracs[1] > fracs[2]
+
+
+def _scan_reference(state, X, chunk=None):
+    """The coupling_scan docstring formula in plain numpy, over row blocks of `chunk` rows.
+
+    With chunk=None the whole sample is one block.  BLAS may block a larger
+    matmul differently (at m = 300 a 700-row X @ W0 differs from its 256-row
+    blocks in the last bit), so only the reference over the scan's own
+    blocks can be compared bit for bit.
+    """
+    init = state.init
+    dW = state.W - init.W0
+    step = chunk or len(X)
+    gaps, flips = [], []
+    for lo in range(0, len(X), step):
+        Xc = X[lo : lo + step]
+        pre0 = Xc @ init.W0 + init.b0
+        shift = Xc @ dW
+        f = np.maximum(pre0 + shift, 0.0) @ init.a0
+        mask0 = pre0 >= 0
+        g = (shift * mask0) @ init.a0
+        gaps.append(float(np.max(np.abs(f - g))))
+        flips.append(((pre0 + shift >= 0) != mask0).any(axis=0))
+    return max(gaps), np.logical_or.reduce(flips)
+
+
+class TestCouplingScanReference:
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["init", "perturbed"])
+    @pytest.mark.parametrize("m", [300, 4096])
+    @pytest.mark.parametrize("n", [1, 20, 255, 256, 257, 700])
+    def test_matches_reference(self, n, m, perturbed):
+        st = init_network(m, 16, seed=21)
+        if perturbed:
+            st = perturbed_state(st, 2.0, seed=21)
+        X = uniform_domain_sample(n, 16, stream(21, "scan", n))
+        W = st.W.copy()
+        gap, flipped = coupling_scan(st, X)
+        ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
+        assert gap == ref_gap
+        assert np.array_equal(flipped, ref_flipped)
+        # against one unchunked block: equal up to the low bits BLAS blocking moves
+        whole_gap, whole_flipped = _scan_reference(st, X)
+        assert gap == pytest.approx(whole_gap, rel=1e-12, abs=0.0)
+        assert np.array_equal(flipped, whole_flipped)
+        assert np.array_equal(st.W, W)
+        assert flipped.any() == perturbed
+
+    def test_successive_calls_at_different_widths(self):
+        states = [perturbed_state(init_network(m, 16, seed=22), 2.0, seed=22) for m in (4096, 300)]
+        X = uniform_domain_sample(300, 16, stream(22, "scan"))
+        for st in states + states[:1]:
+            gap, flipped = coupling_scan(st, X)
+            ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
+            assert gap == ref_gap
+            assert np.array_equal(flipped, ref_flipped)
 
 
 class TestAntiConcentration:
