@@ -492,14 +492,25 @@ def _config_value(action, key: str, value):
     return value
 
 
+def _config_path(argv) -> str | None:
+    """The --config file named in argv, in every spelling argparse accepts.
+
+    `--config c.json`, `--config=c.json` and abbreviations such as `--conf`
+    all reach the subcommand's --config, so all of them must load the file.
+    """
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(argv)[0].config
+
+
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, subparser_map = build_parser()
     try:
-        if "--config" in argv:
+        path = _config_path(argv)
+        if path is not None:
             # config files supply defaults; explicit flags still win
-            path = argv[argv.index("--config") + 1]
             with open(path) as fh:
                 defaults = json.load(fh)
             command = next((a for a in argv if not a.startswith("-")), None)
@@ -519,7 +530,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
-    except (IndexError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (argparse.ArgumentError, FileNotFoundError, json.JSONDecodeError) as exc:
         _emit_error("usage", f"bad --config: {exc}")
         return 2
     try:

@@ -10,15 +10,19 @@ products.
 
 Evaluation always goes through structured forms (power series in w = 1 - z^2,
 Clenshaw recurrences); expanded monomial coefficients reach 2^(4D) and cancel
-catastrophically in float, so monomial expansion is done only with exact
-rational arithmetic and only for coefficient-bound certification.
+catastrophically in float, so monomial expansion is done only exactly and
+only for coefficient-bound certification.  Every exact coefficient here is
+dyadic (central binomials over powers of 4, binomials over powers of 2,
+integer Chebyshev coefficients, and a float shift), so the expansion carries
+integer numerators over one power of two and makes Fractions once, at the
+end.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +32,10 @@ from scipy.special import gammaln
 from .dataspace import Dataset, SeparabilityError, separability
 
 CERT_GRID = 10_000
+
+
+# An exact polynomial (nums, e): the coefficient of z^j is nums[j] / 2**e.
+Dyadic = tuple[list[int], int]
 
 
 class CertificationError(Exception):
@@ -75,7 +83,9 @@ class Polynomial:
     `degree` is the structural degree of the construction.  `evaluator`, when
     present, is the numerically stable structured form and is what calls go
     through; `monomial_coeffs` / `chebyshev_coeffs` are float metadata.
-    Exact (Fraction) monomial coefficients are expanded lazily on first use.
+    Exact monomial coefficients are expanded lazily on first use: the
+    expander returns them as dyadic integers, and `exact_monomial` holds them
+    as Fractions.
     """
 
     def __init__(
@@ -84,7 +94,7 @@ class Polynomial:
         monomial_coeffs=None,
         chebyshev_coeffs=None,
         evaluator: Callable | None = None,
-        exact_expander: Callable[[], list[Fraction]] | None = None,
+        exact_expander: Callable[[], Dyadic] | None = None,
         meta: dict | None = None,
     ):
         self.degree = int(degree)
@@ -115,7 +125,7 @@ class Polynomial:
     @property
     def exact_monomial(self) -> list[Fraction] | None:
         if self._exact_monomial is None and self._exact_expander is not None:
-            self._exact_monomial = self._exact_expander()
+            self._exact_monomial = _to_fractions(self._exact_expander())
         return self._exact_monomial
 
     def eval_exact(self, z: Fraction) -> Fraction:
@@ -141,19 +151,33 @@ class Polynomial:
 # Chebyshev polynomials of the first kind
 # ---------------------------------------------------------------------------
 
-def chebyshev_int_coeffs(k: int) -> list[int]:
-    """Monomial coefficients of T_k, ascending, exact integers."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return [1]
+def _chebyshev_rows():
+    """T_0, T_1, ... as ascending exact integer coefficient lists."""
     prev, cur = [1], [0, 1]
-    for _ in range(k - 1):
+    yield prev
+    while True:
+        yield cur
         nxt = [0] + [2 * c for c in cur]
         for j, c in enumerate(prev):
             nxt[j] -= c
         prev, cur = cur, nxt
-    return cur
+
+
+def chebyshev_int_coeffs(k: int) -> list[int]:
+    """Monomial coefficients of T_k, ascending, exact integers."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return next(islice(_chebyshev_rows(), k, None))
+
+
+def _cheb_to_monomial(b: Sequence[int]) -> list[int]:
+    """Integer monomial coefficients of sum_v b[v] T_v, building T_v row by row."""
+    out = [0] * len(b)
+    for v, (bv, tv) in enumerate(zip(b, _chebyshev_rows())):
+        if bv:
+            for u in range(v % 2, v + 1, 2):  # T_v has the parity of v
+                out[u] += bv * tv[u]
+    return out
 
 
 def chebyshev_T(k: int) -> Polynomial:
@@ -165,9 +189,49 @@ def chebyshev_T(k: int) -> Polynomial:
         degree=k,
         monomial_coeffs=[float(c) for c in ints],
         chebyshev_coeffs=cheb,
-        exact_expander=lambda: [Fraction(c) for c in ints],
+        exact_expander=lambda: (ints, 0),
         meta={"kind": "chebyshev_T", "k": k},
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact dyadic arithmetic
+# ---------------------------------------------------------------------------
+
+def _to_fractions(poly: Dyadic) -> list[Fraction]:
+    """Fraction coefficients of a dyadic polynomial, made once per expansion.
+
+    Dividing out each numerator's own power of two first leaves Fraction a
+    gcd of an odd number with a power of two, about half the work.
+    """
+    nums, e = poly
+    out = []
+    for n in nums:
+        tz = min(e, (n & -n).bit_length() - 1) if n else e
+        out.append(Fraction(n >> tz, 1 << (e - tz)))
+    return out
+
+
+def _central_binomials(k: int) -> list[int]:
+    """C(2i, i) for i = 0..k, by the ratio C(2i+2, i+1) / C(2i, i) = 2(2i+1)/(i+1)."""
+    out = [1]
+    for i in range(k):
+        out.append(out[-1] * 2 * (2 * i + 1) // (i + 1))
+    return out
+
+
+def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
+    """Integer coefficients of f(x + a) from those of f, by repeated synthetic division.
+
+    O(deg^2) additions and small multiplications; von zur Gathen and
+    Gerhard, "Fast algorithms for Taylor shifts" (1997).
+    """
+    c = list(coeffs)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +245,6 @@ def _walk_weights(k: int) -> np.ndarray:
         j = np.arange(1, k + 1, dtype=float)
         w[1:] = np.cumprod((2.0 * j - 1.0) / (2.0 * j))
     return w
-
-
-def _walk_weight_exact(i: int) -> Fraction:
-    return Fraction(comb(2 * i, i), 4**i)
 
 
 def sign_gap_terms(eta_gap: float, eps1: float) -> int:
@@ -207,9 +267,10 @@ def sign_poly(eta_gap: float, eps1: float) -> Polynomial:
         z = np.asarray(z, dtype=float)
         return z * horner(w_coeffs, 1.0 - z * z)
 
-    def expand() -> list[Fraction]:
-        series = [_walk_weight_exact(i) for i in range(k + 1)]
-        return _expand_w_power_series(series)
+    def expand() -> Dyadic:
+        # w_i = C(2i, i) / 4^i, over the common denominator 4^k
+        series = [c << 2 * (k - i) for i, c in enumerate(_central_binomials(k))]
+        return _expand_w_power_series((series, 2 * k))
 
     return Polynomial(
         degree=2 * k + 1,
@@ -237,27 +298,24 @@ def compressed_power(s: int, d_cap: float) -> Polynomial:
         raise ValueError("d_cap must be positive")
     s = int(s)
     cap = min(s, int(math.floor(d_cap)))
-    coeffs = [Fraction(0)] * (cap + 1)
+    # T-basis coefficients over the common denominator 2^s; C(s, j) by ratio
+    coeffs = [0] * (cap + 1)
+    binom = 1
     for j in range(s + 1):
         v = abs(2 * j - s)
         if v <= cap:
-            coeffs[v] += Fraction(comb(s, j), 2**s)
+            coeffs[v] += binom
+        binom = binom * (s - j) // (j + 1)
     degree = max((v for v in range(cap + 1) if coeffs[v] != 0), default=0)
-    cheb = np.array([float(c) for c in coeffs[: degree + 1]])
+    den = 2**s
+    cheb = np.array([c / den for c in coeffs[: degree + 1]])
 
-    def expand() -> list[Fraction]:
-        out = [Fraction(0)] * (degree + 1)
-        for v in range(degree + 1):
-            if coeffs[v] == 0:
-                continue
-            for u, tc in enumerate(chebyshev_int_coeffs(v)):
-                out[u] += coeffs[v] * tc
-        return out
+    def expand() -> Dyadic:
+        return _cheb_to_monomial(coeffs[: degree + 1]), s
 
     mono = None
     if degree <= 200:
-        ex = expand()
-        mono = [float(c) for c in ex]
+        mono = [c / den for c in expand()[0]]
     return Polynomial(
         degree=degree,
         monomial_coeffs=mono,
@@ -297,39 +355,47 @@ def _sign_series(eta_gap: float, eps1: float):
     return series, k, d_walk, cap, budget
 
 
-def _sign_series_exact(k: int, cap: int) -> list[Fraction]:
-    series = [Fraction(0)] * (cap + 1)
-    for i in range(k + 1):
-        ci = _walk_weight_exact(i)
-        den = 2**i
+def _sign_series_exact(k: int, cap: int) -> Dyadic:
+    """Exact B_v = sum_i C(2i,i)/4^i * (2 - [v=0]) C(i, (i+v)/2)/2^i, over 2^(3k).
+
+    Term i carries 8^(-i), so each B_v is accumulated by Horner in powers of
+    8.  Only i of the parity of v contribute, so a v steps by 8^2 per term,
+    and the parity class that ends at i = k - 1 takes one last factor of 8.
+    """
+    acc = [0] * (cap + 1)
+    central = 1  # C(i, ceil(i/2)), the row's entry at v = i % 2
+    for i, walk in enumerate(_central_binomials(k)):
+        t = walk * central
         for v in range(i % 2, min(i, cap) + 1, 2):
-            b = Fraction(comb(i, (i + v) // 2), den)
-            series[v] += ci * (b if v == 0 else 2 * b)
-    return series
+            acc[v] = (acc[v] << 6) + t
+            j = (i + v) // 2
+            t = t * (i - j) // (j + 1)  # C(i, j+1) from C(i, j)
+        # C(i+1, ceil((i+1)/2)) from C(i, ceil(i/2))
+        central = central * (i + 1) // (i // 2 + 1) if i % 2 == 0 else 2 * central
+    for v in range(1 - k % 2, cap + 1, 2):
+        acc[v] <<= 3
+    # T_v and T_{-v} coincide, so every v >= 1 counts twice
+    return [acc[0]] + [a << 1 for a in acc[1:]], 3 * k
 
 
-def _expand_w_power_series(series: Sequence[Fraction]) -> list[Fraction]:
-    """Exact z-monomial coefficients of z * sum_u series[u] * (1 - z^2)^u."""
-    n = len(series) - 1
-    out = [Fraction(0)] * (2 * n + 2)
-    for u, hu in enumerate(series):
-        if hu == 0:
-            continue
-        for j in range(u + 1):
-            out[2 * j + 1] += hu * comb(u, j) * (-1) ** j
-    return out
+def _expand_w_power_series(series: Dyadic) -> Dyadic:
+    """Exact z-monomial coefficients of z * sum_u series[u] * (1 - z^2)^u.
+
+    With y = z^2, sum_u h_u (1 - y)^u = sum_u (-1)^u h_u (y - 1)^u: a Taylor
+    shift by -1, whose synthetic division builds the binomials of (1 - y)^u
+    by Pascal's recurrence.
+    """
+    h, e = series
+    shifted = _taylor_shift([-c if u % 2 else c for u, c in enumerate(h)], -1)
+    out = [0] * (2 * len(h))
+    out[1::2] = shifted
+    return out, e
 
 
-def _expand_w_cheb_series(series: Sequence[Fraction]) -> list[Fraction]:
+def _expand_w_cheb_series(series: Dyadic) -> Dyadic:
     """Exact z-monomial coefficients of z * sum_v series[v] * T_v(1 - z^2)."""
-    cap = len(series) - 1
-    h = [Fraction(0)] * (cap + 1)
-    for v, bv in enumerate(series):
-        if bv == 0:
-            continue
-        for u, tc in enumerate(chebyshev_int_coeffs(v)):
-            h[u] += bv * tc
-    return _expand_w_power_series(h)
+    b, e = series
+    return _expand_w_power_series((_cheb_to_monomial(b), e))
 
 
 def compressed_sign_poly(eta_gap: float, eps1: float) -> Polynomial:
@@ -359,7 +425,7 @@ def compressed_sign_poly(eta_gap: float, eps1: float) -> Polynomial:
             f"max grid error {err:.3e} > eps1 {eps1:.3e}"
         )
 
-    def expand() -> list[Fraction]:
+    def expand() -> Dyadic:
         return _expand_w_cheb_series(_sign_series_exact(k, cap))
 
     return Polynomial(
@@ -458,12 +524,12 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
             f"far-zero error {err_zero:.3e}, eps1 {spec.eps1:.3e}"
         )
 
-    def expand() -> list[Fraction]:
-        inner = ptil.exact_monomial
-        shifted = _affine_substitute_exact(inner, Fraction(1, 2), -Fraction(alpha) / 2)
-        out = [c / 2 for c in shifted]
-        out[0] += Fraction(1, 2)
-        return out
+    sign_expand = ptil._exact_expander
+
+    def expand() -> Dyadic:
+        nums, e = _affine_substitute_exact(sign_expand(), alpha)
+        nums[0] += 1 << e
+        return nums, e + 1
 
     return Polynomial(
         degree=ptil.degree,
@@ -489,21 +555,21 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
     )
 
 
-def _affine_substitute_exact(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> list[Fraction]:
-    """Exact coefficients of p(a z + b) given coefficients of p."""
-    deg = len(coeffs) - 1
-    out = [Fraction(0)] * (deg + 1)
-    a_pow = [Fraction(1)]
-    b_pow = [Fraction(1)]
-    for _ in range(deg):
-        a_pow.append(a_pow[-1] * a)
-        b_pow.append(b_pow[-1] * b)
-    for i, ci in enumerate(coeffs):
-        if ci == 0:
-            continue
-        for j in range(i + 1):
-            out[j] += ci * comb(i, j) * a_pow[j] * b_pow[i - j]
-    return out
+def _affine_substitute_exact(poly: Dyadic, alpha: float) -> Dyadic:
+    """Exact coefficients of p((z - alpha) / 2) given those of p.
+
+    alpha = A / 2^s exactly.  With p = sum_j N_j z^j / 2^e of degree D and
+    u = 2^s z, the argument is (u - A) / 2^(s+1), so
+    2^(e + D(s+1)) p((z - alpha) / 2) = sum_j N_j 2^((D-j)(s+1)) (u - A)^j:
+    an integer Taylor shift by -A, after which u^i contributes 2^(s i) z^i.
+    """
+    nums, e = poly
+    A, den = float(alpha).as_integer_ratio()
+    s = den.bit_length() - 1
+    deg = len(nums) - 1
+    scaled = [n << (deg - j) * (s + 1) for j, n in enumerate(nums)]
+    shifted = _taylor_shift(scaled, -A)
+    return [c << s * i for i, c in enumerate(shifted)], e + deg * (s + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,32 @@ class TestConfigFile:
             assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 0
             assert _read(out) == _read(flag_out)
 
+    @pytest.mark.parametrize("flag", [["--config", "{}"], ["--config={}"], ["--conf", "{}"], ["--conf={}"]])
+    def test_every_config_spelling_applies(self, flag, tmp_path):
+        # argparse accepts all four spellings, so each must load the file
+        cfg, out = tmp_path / "s.json", tmp_path / "z.csv"
+        cfg.write_text(json.dumps({"seeds": 1}))
+        argv = SMALL_COUPLING + ["--m-list", "64"] + [f.format(cfg) for f in flag] + ["--out", str(out)]
+        assert run(argv) == 0
+        meta = json.loads(_read(out).splitlines()[0][len("# meta "):])
+        assert meta["config"]["seeds"] == 1
+
+    def test_equals_form_required_flags_from_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.8, "rho": 0.05, "eps1": 0.1}))
+        out = tmp_path / "coeffs.json"
+        assert run(["poly", f"--config={cfg}", "--emit", str(out)]) == 0
+        assert json.loads(_read(out))["meta"]["config"]["delta"] == 0.8
+
+    @pytest.mark.parametrize("flag", [["--config", "missing.json"], ["--config=missing.json"], ["--config"]])
+    def test_missing_config_is_usage_error(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "z.csv"
+        assert run(SMALL_COUPLING + ["--m-list", "64", "--out", str(out)] + flag) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "bad --config" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,cfg_value", [
         (SMALL_COUPLING + ["--m-list", "64"], {"seeds": 0}),
         (SMALL_COUPLING, {"m_list": [64, "x"]}),

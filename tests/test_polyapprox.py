@@ -2,10 +2,13 @@
 
 import math
 from fractions import Fraction
+from math import comb
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from robust_overparam import polyapprox
 from robust_overparam.dataspace import Dataset, SeparabilityError
 from robust_overparam.polyapprox import (
     CertificationError,
@@ -327,3 +330,172 @@ class TestRobustInterpolant:
         assert f.degree == f.q.degree
         assert f.meta["degree_bound_nominal"] > 0
         assert f.meta["coeff_bound_log2"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Fraction expansion that the dyadic integer expansion replaced.
+# The helpers below are the former library code, kept verbatim (only
+# chebyshev_int_coeffs renamed), so `exact_monomial` is checked with `==`
+# against an independent rational computation.
+# ---------------------------------------------------------------------------
+
+def _ref_chebyshev_int_coeffs(k: int) -> list[int]:
+    """Monomial coefficients of T_k, ascending, exact integers."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return [1]
+    prev, cur = [1], [0, 1]
+    for _ in range(k - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _walk_weight_exact(i: int) -> Fraction:
+    return Fraction(comb(2 * i, i), 4**i)
+
+
+def _sign_series_exact(k: int, cap: int) -> list[Fraction]:
+    series = [Fraction(0)] * (cap + 1)
+    for i in range(k + 1):
+        ci = _walk_weight_exact(i)
+        den = 2**i
+        for v in range(i % 2, min(i, cap) + 1, 2):
+            b = Fraction(comb(i, (i + v) // 2), den)
+            series[v] += ci * (b if v == 0 else 2 * b)
+    return series
+
+
+def _expand_w_power_series(series: Sequence[Fraction]) -> list[Fraction]:
+    """Exact z-monomial coefficients of z * sum_u series[u] * (1 - z^2)^u."""
+    n = len(series) - 1
+    out = [Fraction(0)] * (2 * n + 2)
+    for u, hu in enumerate(series):
+        if hu == 0:
+            continue
+        for j in range(u + 1):
+            out[2 * j + 1] += hu * comb(u, j) * (-1) ** j
+    return out
+
+
+def _expand_w_cheb_series(series: Sequence[Fraction]) -> list[Fraction]:
+    """Exact z-monomial coefficients of z * sum_v series[v] * T_v(1 - z^2)."""
+    cap = len(series) - 1
+    h = [Fraction(0)] * (cap + 1)
+    for v, bv in enumerate(series):
+        if bv == 0:
+            continue
+        for u, tc in enumerate(_ref_chebyshev_int_coeffs(v)):
+            h[u] += bv * tc
+    return _expand_w_power_series(h)
+
+
+def _affine_substitute_exact(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> list[Fraction]:
+    """Exact coefficients of p(a z + b) given coefficients of p."""
+    deg = len(coeffs) - 1
+    out = [Fraction(0)] * (deg + 1)
+    a_pow = [Fraction(1)]
+    b_pow = [Fraction(1)]
+    for _ in range(deg):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
+    for i, ci in enumerate(coeffs):
+        if ci == 0:
+            continue
+        for j in range(i + 1):
+            out[j] += ci * comb(i, j) * a_pow[j] * b_pow[i - j]
+    return out
+
+
+def _ref_sign_poly(p: Polynomial) -> list[Fraction]:
+    series = [_walk_weight_exact(i) for i in range(p.meta["k"] + 1)]
+    return _expand_w_power_series(series)
+
+
+def _ref_compressed_power(s: int, d_cap: float) -> tuple[list[Fraction], list[Fraction]]:
+    """(Chebyshev coefficients, monomial coefficients) of compressed_power(s, d_cap)."""
+    cap = min(s, int(math.floor(d_cap)))
+    coeffs = [Fraction(0)] * (cap + 1)
+    for j in range(s + 1):
+        v = abs(2 * j - s)
+        if v <= cap:
+            coeffs[v] += Fraction(comb(s, j), 2**s)
+    degree = max((v for v in range(cap + 1) if coeffs[v] != 0), default=0)
+    out = [Fraction(0)] * (degree + 1)
+    for v in range(degree + 1):
+        if coeffs[v] == 0:
+            continue
+        for u, tc in enumerate(_ref_chebyshev_int_coeffs(v)):
+            out[u] += coeffs[v] * tc
+    return coeffs[: degree + 1], out
+
+
+def _ref_compressed_sign_poly(meta: dict) -> list[Fraction]:
+    return _expand_w_cheb_series(_sign_series_exact(meta["k"], meta["index_cap"]))
+
+
+def _ref_step_poly(q: Polynomial) -> list[Fraction]:
+    inner = _ref_compressed_sign_poly(q.meta["sign_meta"])
+    alpha = q.meta["alpha_shift"]
+    shifted = _affine_substitute_exact(inner, Fraction(1, 2), -Fraction(alpha) / 2)
+    out = [c / 2 for c in shifted]
+    out[0] += Fraction(1, 2)
+    return out
+
+
+def _assert_fractions_equal(got, ref):
+    assert len(got) == len(ref)
+    assert all(type(c) is Fraction for c in got)
+    assert got == ref
+
+
+class TestExactOracle:
+    """`exact_monomial` == the Fraction reference, coefficient for coefficient."""
+
+    @pytest.mark.parametrize("eta,eps1", [(0.5, 0.5), (0.25, 0.1)])
+    def test_sign_poly(self, eta, eps1):
+        p = sign_poly(eta, eps1)
+        _assert_fractions_equal(p.exact_monomial, _ref_sign_poly(p))
+
+    @pytest.mark.parametrize("s", [6, 10, 20, 40])
+    def test_compressed_power(self, s):
+        for cap in range(1, s + 1):
+            p = compressed_power(s, cap)
+            cheb, mono = _ref_compressed_power(s, cap)
+            _assert_fractions_equal(p.exact_monomial, mono)
+            # the float metadata is the correctly rounded exact values, bit for bit
+            assert p.chebyshev_coeffs.tobytes() == np.array([float(c) for c in cheb]).tobytes()
+            assert p.monomial_coeffs.tobytes() == np.array([float(c) for c in mono]).tobytes()
+
+    @pytest.mark.parametrize("eta,eps1", [(0.5, 0.2), (0.25, 0.1), (0.2, 0.1)])
+    def test_compressed_sign_poly(self, eta, eps1):
+        p = compressed_sign_poly(eta, eps1)
+        _assert_fractions_equal(p.exact_monomial, _ref_compressed_sign_poly(p.meta))
+
+    @pytest.mark.parametrize("delta,eps1,alpha_den", [(1.2, 0.1, 2**53), (0.95, 0.005, 64)])
+    def test_step_poly(self, delta, eps1, alpha_den):
+        q = step_poly(StepSpec(rho=0.05, delta=delta, eps1=eps1))
+        assert Fraction(q.meta["alpha_shift"]).denominator == alpha_den
+        _assert_fractions_equal(q.exact_monomial, _ref_step_poly(q))
+
+    def test_chebyshev_T(self):
+        for k in (0, 1, 7, 40):
+            _assert_fractions_equal(chebyshev_T(k).exact_monomial,
+                                    [Fraction(c) for c in _ref_chebyshev_int_coeffs(k)])
+            assert chebyshev_int_coeffs(k) == _ref_chebyshev_int_coeffs(k)
+
+    @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.1, 51 / 64])
+    def test_affine_substitution(self, alpha):
+        # a dense dyadic polynomial with both signs, at shifts of either sign
+        nums, e = [3, -7, 0, 12, -1, 5, 9], 4
+        got = polyapprox._to_fractions(polyapprox._affine_substitute_exact((nums, e), alpha))
+        ref = _affine_substitute_exact([Fraction(n, 2**e) for n in nums], Fraction(1, 2), -Fraction(alpha) / 2)
+        _assert_fractions_equal(got, ref)
+
+    def test_taylor_shift(self):
+        # (x + 2)^3 = 8 + 12 x + 6 x^2 + x^3
+        assert polyapprox._taylor_shift([0, 0, 0, 1], 2) == [8, 12, 6, 1]
+        assert polyapprox._taylor_shift([5], -3) == [5]
