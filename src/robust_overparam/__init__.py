@@ -5,9 +5,6 @@ __version__ = "0.1.0"
 
 from .adversary import (
     AttackConfig,
-    attack_identity,
-    attack_random,
-    attack_worst_case,
     input_gradient,
     make_adversary,
     project_to_cap,

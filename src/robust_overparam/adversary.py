@@ -1,11 +1,13 @@
 """rho-bounded adversaries on the sphere-cap domain.
 
 The feasible set for a perturbation of x is B_2(x, rho) intersected with the
-domain X.  attack_worst_case approximates the worst-case adversary by
-multi-restart projected gradient ascent; identity and random baselines are
-rho-bounded by construction.  Per-example randomness is keyed by
-(seed, tag, example index, restart) so attacks are reproducible under any
-scheduling and larger restart counts extend, not reshuffle, smaller ones.
+domain X.  Adversaries come from make_adversary(name, cfg) and perturb a
+batch with .perturb(state, X, y, loss, tag).  The "worst" adversary
+(attack_batch) approximates the worst case by multi-restart projected
+gradient ascent; the "random" and "identity" baselines are rho-bounded by
+construction.  Per-example randomness is keyed by (seed, tag, example index,
+restart) so attacks are reproducible under any scheduling and larger restart
+counts extend, not reshuffle, smaller ones.
 
 Each PGA iterate is evaluated once: one X @ W + b gives the pre-activations,
 from which the loss, its slope, the activation mask and the input gradient
@@ -178,22 +180,16 @@ def _random_cap_batch(X: np.ndarray, rho: float, rngs) -> np.ndarray:
     return out
 
 
-def attack_worst_case(state, x, y, loss, cfg: AttackConfig, index: int = 0, tag: int = 0):
-    """Multi-restart projected gradient ascent on the per-example loss.
+def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0) -> np.ndarray:
+    """Multi-restart projected gradient ascent over a batch, one RNG stream per example.
 
-    Returns the feasible iterate with the highest loss among all iterates of
-    all restarts and the unperturbed x itself, so the attacked loss never
-    falls below the clean loss.
+    Returns, per example, the feasible iterate with the highest loss among
+    all iterates of all restarts and the unperturbed point itself, so the
+    attacked loss never falls below the clean loss.  Raises ValueError for
+    points off the domain.
     """
-    x = np.asarray(x, dtype=float)
-    validate_domain(x[None, :])
-    out = attack_batch(state, x[None, :], np.atleast_1d(y), loss, cfg, tag=tag, index_base=index)
-    return out[0]
-
-
-def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0, index_base: int = 0) -> np.ndarray:
-    """Vectorized worst-case attack over a batch, one RNG stream per example."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    validate_domain(X)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = len(X)
     step = cfg.resolved_step_size
@@ -205,7 +201,7 @@ def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0, index_base:
         if r == 0:
             cur = X
         else:
-            rngs = [stream(cfg.seed, "attack", tag, index_base + i, r) for i in range(n)]
+            rngs = [stream(cfg.seed, "attack", tag, i, r) for i in range(n)]
             cur = _random_cap_batch(X, cfg.rho, rngs)
             preds = ws.forward(cur)
             _consider(cur, loss.value(preds, y), best_x, best_l)
@@ -223,15 +219,6 @@ def _consider(cur, losses, best_x, best_l):
     if np.any(upd):
         best_l[upd] = l[upd]
         best_x[upd] = cur[upd]
-
-
-def attack_random(x, cfg: AttackConfig, index: int = 0, tag: int = 0) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return random_cap_point(x, cfg.rho, stream(cfg.seed, "attack-rand", tag, index))
-
-
-def attack_identity(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).copy()
 
 
 class WorstCaseAdversary:

@@ -14,6 +14,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -364,30 +365,37 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
 def float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    return [finite_float(v) for v in text.split(",")]
 
 
 def _fit_flags(parser) -> None:
     """Flags shared by `fit` and `sweep`."""
     parser.add_argument("--n", type=int, default=20)
     parser.add_argument("--d", type=int, default=10)
-    parser.add_argument("--delta", type=float, default=0.8)
-    parser.add_argument("--rho", type=float, default=0.05)
-    parser.add_argument("--eps", type=float, default=0.3)
+    parser.add_argument("--delta", type=finite_float, default=0.8)
+    parser.add_argument("--rho", type=finite_float, default=0.05)
+    parser.add_argument("--eps", type=finite_float, default=0.3)
     parser.add_argument("--pert-per-point", type=int, default=20)
-    parser.add_argument("--ridge", type=float, default=None)
+    parser.add_argument("--ridge", type=finite_float, default=None)
 
 
 def _train_flags(parser) -> None:
     """Flags shared by `train` and `sweep`."""
-    parser.add_argument("--R", type=float, default=2.0)
-    parser.add_argument("--c-T", dest="c_T", type=float, default=1.0)
-    parser.add_argument("--c-eta", dest="c_eta", type=float, default=1.0)
+    parser.add_argument("--R", type=finite_float, default=2.0)
+    parser.add_argument("--c-T", dest="c_T", type=finite_float, default=1.0)
+    parser.add_argument("--c-eta", dest="c_eta", type=finite_float, default=1.0)
     parser.add_argument("--attack", choices=("worst", "random", "identity"), default="worst")
     parser.add_argument("--attack-steps", type=int, default=20)
     parser.add_argument("--attack-restarts", type=int, default=3)
@@ -400,9 +408,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     poly = sub.add_parser("poly", help="build and certify a step polynomial")
-    poly.add_argument("--delta", type=float, required=True)
-    poly.add_argument("--rho", type=float, required=True)
-    poly.add_argument("--eps1", type=float, required=True)
+    poly.add_argument("--delta", type=finite_float, required=True)
+    poly.add_argument("--rho", type=finite_float, required=True)
+    poly.add_argument("--eps1", type=finite_float, required=True)
     poly.add_argument("--cert-grid", type=int, default=10_000)
     poly.add_argument("--emit", type=str, default=None, help="write coeffs JSON here")
     poly.set_defaults(func=cmd_poly)
@@ -410,7 +418,7 @@ def build_parser():
     sep = sub.add_parser("separability", help="measure pairwise separation")
     sep.add_argument("--input", type=str, default=None)
     sep.add_argument("--synth", type=str, default=None, help="n=..,d=..,delta=..")
-    sep.add_argument("--rho", type=float, required=True)
+    sep.add_argument("--rho", type=finite_float, required=True)
     sep.add_argument("--out", type=str, required=True)
     sep.add_argument("--hist", type=str, default=None)
     sep.add_argument("--seed", type=int, default=0)
@@ -418,7 +426,7 @@ def build_parser():
 
     cpl = sub.add_parser("coupling", help="network vs pseudo-network width sweep")
     cpl.add_argument("--m-list", type=int_list, required=True)
-    cpl.add_argument("--R", type=float, default=2.0)
+    cpl.add_argument("--R", type=finite_float, default=2.0)
     cpl.add_argument("--samples", type=int, default=20_000)
     cpl.add_argument("--d", type=int, default=16)
     cpl.add_argument("--seeds", type=positive_int, default=3)
@@ -447,9 +455,9 @@ def build_parser():
     tr = sub.add_parser("train", help="adversarial training run")
     tr.add_argument("--data", dest="input", type=str, default=None)
     tr.add_argument("--synth", type=str, default=None, help="n=..,d=..,delta=..")
-    tr.add_argument("--rho", type=float, required=True)
+    tr.add_argument("--rho", type=finite_float, required=True)
     tr.add_argument("--m", type=int, required=True)
-    tr.add_argument("--eps", type=float, required=True)
+    tr.add_argument("--eps", type=finite_float, required=True)
     _train_flags(tr)
     tr.add_argument("--seed", type=int, default=1)
     tr.add_argument("--trace", type=str, default=None)

@@ -156,7 +156,7 @@ def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
         f = pre @ init.a0
         shift *= on0
         g = shift @ init.a0
-        gap = max(gap, float(np.max(np.abs(f - g))))
+        gap = float(np.maximum(gap, np.max(np.abs(f - g))))  # NaN propagates; max() would drop it
         np.not_equal(on, on0, out=on)
         flipped |= on.any(axis=0)
     return gap, flipped

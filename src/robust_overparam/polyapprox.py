@@ -42,15 +42,6 @@ class CertificationError(Exception):
     """A certified grid property failed; signals a numerics bug, not expected use."""
 
 
-def horner(coeffs, z):
-    """Evaluate sum_j coeffs[j] z^j. Stable only for well-scaled coefficients."""
-    z = np.asarray(z, dtype=float)
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def clenshaw(coeffs, z):
     """Evaluate sum_j coeffs[j] T_j(z) by the Clenshaw recurrence."""
     z = np.asarray(z, dtype=float)
@@ -78,27 +69,24 @@ def chebyshev_nodes_series(fn: Callable, degree: int) -> np.ndarray:
 
 
 class Polynomial:
-    """Univariate polynomial with monomial and/or Chebyshev representations.
+    """Univariate polynomial: a stable evaluator and an exact monomial expander.
 
-    `degree` is the structural degree of the construction.  `evaluator`, when
-    present, is the numerically stable structured form and is what calls go
-    through; `monomial_coeffs` / `chebyshev_coeffs` are float metadata.
-    Exact monomial coefficients are expanded lazily on first use: the
-    expander returns them as dyadic integers, and `exact_monomial` holds them
-    as Fractions.
+    `degree` is the structural degree of the construction.  Calls go through
+    `evaluator`, the numerically stable structured form; `chebyshev_coeffs`
+    is optional float metadata.  Monomial coefficients exist only exactly:
+    the expander returns them as dyadic integers on first use, and
+    `exact_monomial` holds them as Fractions.
     """
 
     def __init__(
         self,
         degree: int,
-        monomial_coeffs=None,
+        evaluator: Callable,
+        exact_expander: Callable[[], Dyadic],
         chebyshev_coeffs=None,
-        evaluator: Callable | None = None,
-        exact_expander: Callable[[], Dyadic] | None = None,
         meta: dict | None = None,
     ):
         self.degree = int(degree)
-        self.monomial_coeffs = None if monomial_coeffs is None else np.asarray(monomial_coeffs, dtype=float)
         self.chebyshev_coeffs = None if chebyshev_coeffs is None else np.asarray(chebyshev_coeffs, dtype=float)
         self._evaluator = evaluator
         self._exact_expander = exact_expander
@@ -106,45 +94,24 @@ class Polynomial:
         self.meta = dict(meta or {})
 
     def __call__(self, z):
-        if self._evaluator is not None:
-            return self._evaluator(np.asarray(z, dtype=float))
-        if self.chebyshev_coeffs is not None:
-            return self.eval_clenshaw(z)
-        return self.eval_horner(z)
-
-    def eval_horner(self, z):
-        if self.monomial_coeffs is None:
-            raise ValueError("no monomial coefficients available")
-        return horner(self.monomial_coeffs, z)
-
-    def eval_clenshaw(self, z):
-        if self.chebyshev_coeffs is None:
-            raise ValueError("no Chebyshev coefficients available")
-        return clenshaw(self.chebyshev_coeffs, z)
+        return self._evaluator(np.asarray(z, dtype=float))
 
     @property
-    def exact_monomial(self) -> list[Fraction] | None:
-        if self._exact_monomial is None and self._exact_expander is not None:
+    def exact_monomial(self) -> list[Fraction]:
+        if self._exact_monomial is None:
             self._exact_monomial = _to_fractions(self._exact_expander())
         return self._exact_monomial
 
     def eval_exact(self, z: Fraction) -> Fraction:
         """Exact Horner evaluation at a rational point (arbitrary precision)."""
-        coeffs = self.exact_monomial
-        if coeffs is None:
-            raise ValueError("no exact monomial expansion available")
         acc = Fraction(0)
-        for c in reversed(coeffs):
+        for c in reversed(self.exact_monomial):
             acc = acc * z + c
         return acc
 
-    def monomial_magnitudes(self) -> list:
-        """|coeff| per degree, exact Fractions when available, floats otherwise."""
-        if self.exact_monomial is not None:
-            return [abs(c) for c in self.exact_monomial]
-        if self.monomial_coeffs is not None:
-            return [abs(float(c)) for c in self.monomial_coeffs]
-        raise ValueError("no monomial coefficients available")
+    def monomial_magnitudes(self) -> list[Fraction]:
+        """|coeff| per degree, from the exact coefficients."""
+        return [abs(c) for c in self.exact_monomial]
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +148,15 @@ def _cheb_to_monomial(b: Sequence[int]) -> list[int]:
 
 
 def chebyshev_T(k: int) -> Polynomial:
-    """T_k in both bases; monomial coefficients by exact integer recurrence."""
+    """T_k, evaluated by Clenshaw; monomial coefficients by exact integer recurrence."""
     ints = chebyshev_int_coeffs(k)
     cheb = np.zeros(k + 1)
     cheb[k] = 1.0
     return Polynomial(
         degree=k,
-        monomial_coeffs=[float(c) for c in ints],
-        chebyshev_coeffs=cheb,
+        evaluator=lambda z: clenshaw(cheb, z),
         exact_expander=lambda: (ints, 0),
+        chebyshev_coeffs=cheb,
         meta={"kind": "chebyshev_T", "k": k},
     )
 
@@ -265,7 +232,7 @@ def sign_poly(eta_gap: float, eps1: float) -> Polynomial:
 
     def evaluate(z):
         z = np.asarray(z, dtype=float)
-        return z * horner(w_coeffs, 1.0 - z * z)
+        return z * np.polynomial.polynomial.polyval(1.0 - z * z, w_coeffs)
 
     def expand() -> Dyadic:
         # w_i = C(2i, i) / 4^i, over the common denominator 4^k
@@ -313,14 +280,11 @@ def compressed_power(s: int, d_cap: float) -> Polynomial:
     def expand() -> Dyadic:
         return _cheb_to_monomial(coeffs[: degree + 1]), s
 
-    mono = None
-    if degree <= 200:
-        mono = [c / den for c in expand()[0]]
     return Polynomial(
         degree=degree,
-        monomial_coeffs=mono,
-        chebyshev_coeffs=cheb,
+        evaluator=lambda z: clenshaw(cheb, z),
         exact_expander=expand,
+        chebyshev_coeffs=cheb,
         meta={"kind": "compressed_power", "s": s, "d_cap": d_cap},
     )
 
@@ -506,11 +470,10 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
         raise ValueError("cert_grid must be at least 2")
     ptil = compressed_sign_poly(spec.eta_gap, spec.eps1)
     alpha = spec.alpha_shift
-    base_eval = ptil._evaluator
 
     def evaluate(z):
         z = np.asarray(z, dtype=float)
-        return (base_eval((z - alpha) * 0.5) + 1.0) * 0.5
+        return (ptil((z - alpha) * 0.5) + 1.0) * 0.5
 
     hi_lo = 1.0 - spec.rho**2 / 2.0
     far_hi = 1.0 - (spec.delta - spec.rho) ** 2 / 2.0
@@ -583,12 +546,6 @@ class ComplexityReport:
     base_constant: float
 
 
-def _log_abs(x) -> float:
-    if isinstance(x, Fraction):
-        return math.log(x.numerator if x >= 0 else -x.numerator) - math.log(x.denominator)
-    return math.log(abs(x))
-
-
 def _logsumexp(logs: list[float]) -> float:
     top = max(logs)
     return top + math.log(sum(math.exp(v - top) for v in logs))
@@ -614,7 +571,7 @@ def complexity_measures(p: Polynomial, eps1: float, base_constant: float = 2.0) 
     for j, mag in enumerate(mags):
         if mag == 0:
             continue
-        logm = _log_abs(mag)
+        logm = math.log(mag.numerator) - math.log(mag.denominator)
         plain_terms.append(logc + 1.75 * math.log(j + 1.0) + logm)
         if j == 0:
             extra = 2.0

@@ -185,10 +185,11 @@ def adversarial_train(
         grad_cols = np.linalg.norm(grad, axis=0)
         gap = coupling_scan(cur, Xt)[0]
 
+        # written as `not x <= bound` so that a NaN counts as a violation
         drift_bound = hp.eta * t * m_third + DRIFT_SLACK
-        if norms.two_inf > drift_bound:
+        if not norms.two_inf <= drift_bound:
             violations.append(f"t={t}: drift {norms.two_inf:.3e} > bound {drift_bound:.3e}")
-        if float(grad_cols.max()) > m_third + GRAD_SLACK:
+        if not float(grad_cols.max()) <= m_third + GRAD_SLACK:
             violations.append(f"t={t}: gradient column {grad_cols.max():.3e} > {m_third:.3e}")
 
         trace.t.append(t)

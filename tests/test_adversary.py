@@ -8,9 +8,6 @@ import pytest
 from robust_overparam.adversary import (
     AttackConfig,
     attack_batch,
-    attack_identity,
-    attack_random,
-    attack_worst_case,
     input_gradient,
     make_adversary,
     project_to_cap,
@@ -118,8 +115,8 @@ class TestWorstCaseAttack:
         st = init_network(32, 5, seed=15)
         x = uniform_domain_sample(1, 5, stream(15, "x"))[0]
         cfg = AttackConfig(rho=0.1, steps=0, restarts=1, seed=0)
-        out = attack_worst_case(st, x, 1.0, LOSS, cfg)
-        assert np.array_equal(out, x)
+        out = make_adversary("worst", cfg).perturb(st, x, 1.0, LOSS)
+        assert np.array_equal(out[0], x)
 
     def test_feasible_and_on_domain(self):
         st = init_network(64, 6, seed=16)
@@ -144,27 +141,29 @@ class TestWorstCaseAttack:
         x = uniform_domain_sample(1, 6, stream(17, "x"))[0]
         cfg2 = AttackConfig(rho=0.1, restarts=2, seed=5)
         cfg5 = AttackConfig(rho=0.1, restarts=5, seed=5)
-        l2 = LOSS.value(forward_real(st, attack_worst_case(st, x, 1.0, LOSS, cfg2)), 1.0)
-        l5 = LOSS.value(forward_real(st, attack_worst_case(st, x, 1.0, LOSS, cfg5)), 1.0)
+        l2 = LOSS.value(forward_real(st, make_adversary("worst", cfg2).perturb(st, x, 1.0, LOSS)[0]), 1.0)
+        l5 = LOSS.value(forward_real(st, make_adversary("worst", cfg5).perturb(st, x, 1.0, LOSS)[0]), 1.0)
         assert l5 >= l2 - 1e-15
 
     def test_deterministic(self):
         st = init_network(64, 6, seed=18)
         x = uniform_domain_sample(1, 6, stream(18, "x"))[0]
-        cfg = AttackConfig(rho=0.1, seed=2)
-        a = attack_worst_case(st, x, -1.0, LOSS, cfg, index=3)
-        b = attack_worst_case(st, x, -1.0, LOSS, cfg, index=3)
+        adv = make_adversary("worst", AttackConfig(rho=0.1, seed=2))
+        a = adv.perturb(st, x, -1.0, LOSS, tag=3)
+        b = adv.perturb(st, x, -1.0, LOSS, tag=3)
         assert np.array_equal(a, b)
 
     def test_batch_matches_single(self):
+        # each example's attack depends only on its own row and index, so
+        # every prefix of the batch reproduces the batch's leading rows
         st = init_network(64, 6, seed=19)
         X = uniform_domain_sample(4, 6, stream(19, "x"))
         y = np.array([1.0, -1.0, 1.0, -1.0])
         cfg = AttackConfig(rho=0.1, seed=3)
         batch = attack_batch(st, X, y, LOSS, cfg, tag=7)
-        for i in range(4):
-            single = attack_worst_case(st, X[i], y[i], LOSS, cfg, index=i, tag=7)
-            assert np.allclose(single, batch[i], atol=1e-12)
+        for k in range(1, 4):
+            prefix = attack_batch(st, X[:k], y[:k], LOSS, cfg, tag=7)
+            assert np.allclose(prefix, batch[:k], atol=1e-12)
 
     def test_random_search_oracle(self):
         # d=3, m=8, rho=0.1: multi-restart ascent reaches within 2% of a
@@ -176,14 +175,14 @@ class TestWorstCaseAttack:
         cand = np.vstack([random_cap_point(x, 0.1, rng) for _ in range(100_000)])
         oracle = float(np.max(LOSS.value(forward_real(st, cand), y)))
         cfg = AttackConfig(rho=0.1, steps=20, restarts=3, seed=4)
-        ours = float(LOSS.value(forward_real(st, attack_worst_case(st, x, y, LOSS, cfg)), y))
+        ours = float(LOSS.value(forward_real(st, make_adversary("worst", cfg).perturb(st, x, y, LOSS)[0]), y))
         assert ours >= 0.98 * oracle
 
     def test_rejects_off_domain_input(self):
         st = init_network(8, 3, seed=20)
-        cfg = AttackConfig(rho=0.1)
+        adv = make_adversary("worst", AttackConfig(rho=0.1))
         with pytest.raises(ValueError):
-            attack_worst_case(st, np.array([1.0, 0.0, 0.0]), 1.0, LOSS, cfg)
+            adv.perturb(st, np.array([1.0, 0.0, 0.0]), 1.0, LOSS)
 
 
 def _reference_attack(st, X, y, loss, cfg, tag=0):
@@ -261,7 +260,9 @@ class TestAttackPinned:
         cfg = AttackConfig(rho=0.3, seed=10)
         adv = make_adversary("random", cfg)
         out = adv.perturb(st, X, y, LOSS, tag=5)
-        ref = np.vstack([attack_random(X[i], cfg, index=i, tag=5) for i in range(len(X))])
+        ref = np.vstack(
+            [random_cap_point(X[i], cfg.rho, stream(cfg.seed, "attack-rand", 5, i)) for i in range(len(X))]
+        )
         assert np.array_equal(out, ref)
         assert np.array_equal(out, adv.perturb(st, X, y, LOSS, tag=5))
 
@@ -269,16 +270,18 @@ class TestAttackPinned:
 class TestBaselines:
     def test_identity(self):
         x = np.array([R, 0.0, 0.5])
-        assert np.array_equal(attack_identity(x), x)
+        out = make_adversary("identity", AttackConfig(rho=0.1)).perturb(None, x, 1.0, LOSS)
+        assert np.array_equal(out, x[None, :])
 
     def test_random_feasible_and_deterministic(self):
-        x = np.array([R, 0.0, 0.5])
-        cfg = AttackConfig(rho=0.15, seed=9)
-        a = attack_random(x, cfg, index=1)
-        b = attack_random(x, cfg, index=1)
+        # two copies of x, so row 1 draws from the example-index-1 stream
+        X = np.array([[R, 0.0, 0.5]] * 2)
+        adv = make_adversary("random", AttackConfig(rho=0.15, seed=9))
+        a = adv.perturb(None, X, None, LOSS)
+        b = adv.perturb(None, X, None, LOSS)
         assert np.array_equal(a, b)
-        validate_domain(a[None, :])
-        assert np.linalg.norm(a - x) <= 0.15 + 1e-9
+        validate_domain(a)
+        assert np.all(np.linalg.norm(a - X, axis=1) <= 0.15 + 1e-9)
 
     def test_make_adversary(self):
         cfg = AttackConfig(rho=0.1)

@@ -383,6 +383,44 @@ class TestConfigFile:
         assert not out.exists()
 
 
+class TestNonFiniteFloats:
+    """NaN and infinite floats are usage errors, from the command line and from --config."""
+
+    COUPLING = SMALL_COUPLING + ["--m-list", "64", "--seeds", "1"]
+    TRAIN = SMALL_TRAIN + ["--m", "64", "--R", "1", "--attack-steps", "2"]
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (COUPLING, "--R", "nan"),
+        (COUPLING, "--R", "inf"),
+        (TRAIN, "--c-eta", "nan"),
+        (TRAIN, "--rho", "-inf"),
+        (["anticonc", "--m", "8", "--d", "4", "--trials", "10"], "--t-grid", "0.1,nan"),
+    ])
+    def test_flag_is_usage_error(self, argv, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        out_flag = "--summary" if argv[0] == "train" else "--out"
+        assert run(argv + [f"{flag}={value}", out_flag, str(out)]) == 2  # "=" lets "-inf" through as a value
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and flag in err["message"] and "finite" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,cfg_value", [
+        (COUPLING, {"R": float("nan")}),
+        (TRAIN, {"c_eta": float("nan")}),
+        (TRAIN, {"eps": float("inf")}),
+        (SMALL_COUPLING + ["--seeds", "1"], {"m_list": [64], "R": float("-inf")}),
+    ])
+    def test_config_value_is_usage_error(self, argv, cfg_value, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(cfg_value))  # NaN / Infinity tokens, which json.load accepts
+        out_flag = "--summary" if argv[0] == "train" else "--out"
+        assert run(argv + ["--config", str(cfg), out_flag, str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        bad_key = [k for k, v in cfg_value.items() if isinstance(v, float)][0]
+        assert err["error"] == "usage" and repr(bad_key) in err["message"] and "finite" in err["message"]
+        assert not out.exists()
+
+
 class TestAnticoncDeterminism:
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

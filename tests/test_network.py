@@ -307,6 +307,17 @@ class TestCouplingScanReference:
         assert np.array_equal(st.W, W)
         assert flipped.any() == perturbed
 
+    @pytest.mark.parametrize("n", [1, 700])
+    def test_nan_column_propagates(self, n):
+        # max(gap, nan) would keep the finite gap and report a NaN network as 0.0
+        st = perturbed_state(init_network(300, 16, seed=23), 2.0, seed=23)
+        X = uniform_domain_sample(n, 16, stream(23, "scan", n))
+        W = st.W.copy()
+        W[:, 7] = np.nan
+        gap, flipped = coupling_scan(st.with_weights(W), X)
+        assert math.isnan(gap)
+        assert flipped.shape == (300,) and flipped.dtype == bool
+
     def test_successive_calls_at_different_widths(self):
         states = [perturbed_state(init_network(m, 16, seed=22), 2.0, seed=22) for m in (4096, 300)]
         X = uniform_domain_sample(300, 16, stream(22, "scan"))

@@ -46,7 +46,7 @@ class TestChebyshevT:
 
     def test_matches_numpy_basis(self):
         for k in (2, 7, 12):
-            ours = chebyshev_T(k).monomial_coeffs
+            ours = [float(c) for c in chebyshev_T(k).exact_monomial]
             ref = np.polynomial.chebyshev.cheb2poly([0.0] * k + [1.0])
             assert np.allclose(ours, ref, atol=1e-9)
 
@@ -132,7 +132,7 @@ class TestCompressedPower:
 
     def test_horner_clenshaw_agree(self):
         p = compressed_power(12, 8)
-        assert np.max(np.abs(p.eval_horner(GRID) - p.eval_clenshaw(GRID))) <= 1e-8
+        _assert_exact_matches_grid(p, 1e-8)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -172,7 +172,7 @@ class TestCompressedSign:
 
     def test_chebyshev_basis_consistent(self):
         p = compressed_sign_poly(0.25, 0.1)
-        assert np.max(np.abs(p.eval_clenshaw(GRID) - p(GRID))) <= 1e-8
+        assert np.max(np.abs(polyapprox.clenshaw(p.chebyshev_coeffs, GRID) - p(GRID))) <= 1e-8
 
     def test_chebyshev_basis_matches_numpy_interpolation(self):
         # independent basis oracle: numpy's node interpolation of the evaluator
@@ -223,43 +223,55 @@ class TestStepPoly:
 
     def test_chebyshev_basis_consistent(self):
         q = step_poly(self.SPEC)
-        assert np.max(np.abs(q.eval_clenshaw(GRID) - q(GRID))) <= 1e-8
+        assert np.max(np.abs(polyapprox.clenshaw(q.chebyshev_coeffs, GRID) - q(GRID))) <= 1e-8
+
+
+def _assert_exact_matches_grid(p: Polynomial, tol: float, stride: int = 1):
+    """Exact Horner at the rational points of GRID against the evaluator there."""
+    vals = p(GRID)
+    for idx in range(0, len(GRID), stride):
+        z = Fraction(idx - 500, 500)
+        assert abs(float(p.eval_exact(z)) - vals[idx]) <= tol
 
 
 class TestChebyshevConsistency:
-    """Horner (exact where float would cancel) vs Clenshaw on a 1001 grid."""
+    """Exact Horner (where float would cancel) vs the Clenshaw evaluator on a 1001 grid."""
 
     @pytest.mark.parametrize("k", [3, 11])
     def test_float_agreement_low_degree(self, k):
-        p = chebyshev_T(k)
-        assert np.max(np.abs(p.eval_horner(GRID) - p.eval_clenshaw(GRID))) <= 1e-8
+        _assert_exact_matches_grid(chebyshev_T(k), 1e-8)
 
     @pytest.mark.parametrize("k", [50, 200])
     def test_exact_agreement_high_degree(self, k):
-        p = chebyshev_T(k)
-        cl = p.eval_clenshaw(GRID)
-        for idx in range(0, 1001, 10):
-            z = Fraction(idx - 500, 500)
-            assert abs(float(p.eval_exact(z)) - cl[idx]) <= 1e-8
+        _assert_exact_matches_grid(chebyshev_T(k), 1e-8, stride=10)
+
+
+def _exact_poly(nums: list[int]) -> Polynomial:
+    """A polynomial with integer monomial coefficients nums (ascending)."""
+    return Polynomial(
+        len(nums) - 1,
+        evaluator=lambda z: np.polynomial.polynomial.polyval(z, nums),
+        exact_expander=lambda: (nums, 0),
+    )
 
 
 class TestComplexity:
     def test_zero_polynomial(self):
-        rep = complexity_measures(Polynomial(0, monomial_coeffs=[0.0]), eps1=0.1)
+        rep = complexity_measures(_exact_poly([0]), eps1=0.1)
         assert rep.c_eps == 0.0 and rep.c_plain == 0.0
 
     def test_linear_plain_value(self):
-        rep = complexity_measures(Polynomial(1, monomial_coeffs=[0.0, 1.0]), eps1=0.5, base_constant=2.0)
+        rep = complexity_measures(_exact_poly([0, 1]), eps1=0.5, base_constant=2.0)
         assert rep.c_plain == pytest.approx(2.0 * 2**1.75, rel=1e-12)
 
     def test_linear_eps_value(self):
         eps1 = 0.5
-        rep = complexity_measures(Polynomial(1, monomial_coeffs=[0.0, 1.0]), eps1=eps1, base_constant=2.0)
+        rep = complexity_measures(_exact_poly([0, 1]), eps1=eps1, base_constant=2.0)
         expected = 2.0 * (1.0 + math.sqrt(math.log(1.0 / eps1)))
         assert rep.c_eps == pytest.approx(expected, rel=1e-12)
 
     def test_constant_term_convention(self):
-        rep = complexity_measures(Polynomial(0, monomial_coeffs=[3.0]), eps1=0.1)
+        rep = complexity_measures(_exact_poly([3]), eps1=0.1)
         assert rep.c_eps == pytest.approx(6.0, rel=1e-12)
 
     def test_step_poly_fixture(self):
@@ -270,7 +282,7 @@ class TestComplexity:
         assert rep.c_plain == pytest.approx(1.0371673648781376e49, rel=1e-9)
 
     def test_rejects_bad_params(self):
-        p = Polynomial(1, monomial_coeffs=[0.0, 1.0])
+        p = _exact_poly([0, 1])
         with pytest.raises(ValueError):
             complexity_measures(p, eps1=1.5)
         with pytest.raises(ValueError):
@@ -468,7 +480,6 @@ class TestExactOracle:
             _assert_fractions_equal(p.exact_monomial, mono)
             # the float metadata is the correctly rounded exact values, bit for bit
             assert p.chebyshev_coeffs.tobytes() == np.array([float(c) for c in cheb]).tobytes()
-            assert p.monomial_coeffs.tobytes() == np.array([float(c) for c in mono]).tobytes()
 
     @pytest.mark.parametrize("eta,eps1", [(0.5, 0.2), (0.25, 0.1), (0.2, 0.1)])
     def test_compressed_sign_poly(self, eta, eps1):

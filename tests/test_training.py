@@ -176,6 +176,16 @@ class TestAdversarialTrain:
         assert res.trace.coupling_sample[0] >= 0.0
 
 
+    def test_nan_step_size_is_a_violation(self):
+        # a NaN drift or gradient norm fails `x <= bound`, so it is recorded
+        st, ds, loss, adv = self._setup(m=64)
+        hp = HyperParams(T=3, eta=math.nan, R=1.0, eps=0.5)
+        res = adversarial_train(st, ds, adv, loss, hp)
+        assert any("drift" in v for v in res.violations)
+        assert any("gradient column" in v for v in res.violations)
+        assert all(math.isnan(c) for c in res.trace.coupling_sample[1:])
+
+
 class TestFitPseudo:
     def test_zero_target_gives_zero(self):
         st = init_network(256, 6, seed=50)
