@@ -243,6 +243,7 @@ class RandomAdversary:
 
     def perturb(self, state, X, y, loss, tag: int = 0) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        validate_domain(X)
         rngs = [stream(self.cfg.seed, "attack-rand", tag, i) for i in range(len(X))]
         return _random_cap_batch(X, self.cfg.rho, rngs)
 
@@ -252,7 +253,9 @@ class IdentityAdversary:
     rho = 0.0
 
     def perturb(self, state, X, y, loss, tag: int = 0) -> np.ndarray:
-        return np.atleast_2d(np.asarray(X, dtype=float)).copy()
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        validate_domain(X)
+        return X.copy()
 
 
 def make_adversary(name: str, cfg: AttackConfig):

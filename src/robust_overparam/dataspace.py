@@ -27,9 +27,10 @@ class SeparabilityError(Exception):
 def validate_domain(X: np.ndarray, atol: float = DOMAIN_ATOL) -> None:
     X = np.atleast_2d(X)
     norms = np.linalg.norm(X, axis=1)
-    if np.any(np.abs(norms - 1.0) > atol):
+    # written as `not x <= atol` so that a NaN point fails
+    if not np.all(np.abs(norms - 1.0) <= atol):
         raise ValueError(f"points must have unit norm within {atol}")
-    if np.any(np.abs(X[:, -1] - 0.5) > atol):
+    if not np.all(np.abs(X[:, -1] - 0.5) <= atol):
         raise ValueError("last coordinate must equal 1/2")
 
 

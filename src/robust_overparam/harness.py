@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
 import json
 import math
@@ -202,6 +203,7 @@ def cmd_coupling(args) -> int:
     results = _pool_map(
         lambda job: _coupling_cell(job[0], args.d, args.R, args.samples, args.batch_n, job[1]),
         jobs,
+        one_blas_thread=True,
     )
     by_m: dict[int, list] = {m: [] for m in args.m_list}
     for (m, _), res in zip(jobs, results):
@@ -322,9 +324,12 @@ def _sweep_cell_train(args, m: int, delta: float, seed: int) -> dict:
 def cmd_sweep(args) -> int:
     cell_fn = _sweep_cell_fit if args.target == "fit" else _sweep_cell_train
     cells = [(m, delta) for m in args.m_list for delta in (args.delta_list or [args.delta])]
+    # the fit's Gram matrix (an OpenBLAS syrk) rounds differently on one BLAS
+    # thread, so a pinned pool would make its rows depend on the worker count
     results = _pool_map(
         lambda cell: [cell_fn(args, *cell, args.seed + rep) for rep in range(args.repeats)],
         cells,
+        one_blas_thread=False,
     )
     keys = sorted(results[0][0].keys())
     header = ["m", "delta"] + [f"{k}_median" for k in keys]
@@ -336,13 +341,73 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _pool_map(fn, items):
+def _pool_map(fn, items, *, one_blas_thread: bool):
+    """[fn(item) for item in items], on up to THREADS_ENV worker threads.
+
+    With one_blas_thread, OpenBLAS runs on one thread while more than one
+    worker does: the workers already fill the cores, and multithreaded BLAS
+    inside each would oversubscribe them.  Only cells whose BLAS results do
+    not depend on the thread count may ask for it.
+    """
     workers = os.environ.get(THREADS_ENV)
     workers = int(workers) if workers else min(4, os.cpu_count() or 1)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    pin = _blas_single_threaded() if one_blas_thread else contextlib.nullcontext()
+    # exits in reverse: the pool joins, then the BLAS thread counts return
+    with pin, concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+# (get, set) thread-count symbols of an OpenBLAS build; the scipy wheels
+# prefix them, and their 64-bit-integer builds add a suffix too
+_BLAS_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+)
+
+
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    The libraries are found in /proc/self/maps, so the list is empty where
+    that file does not exist or no OpenBLAS exporting _BLAS_SYMBOLS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            # a mapping's path is its sixth field
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _blas_single_threaded():
+    """One OpenBLAS thread inside the block, each library's old count after it."""
+    controls = _openblas_threads()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +492,7 @@ def build_parser():
     cpl = sub.add_parser("coupling", help="network vs pseudo-network width sweep")
     cpl.add_argument("--m-list", type=int_list, required=True)
     cpl.add_argument("--R", type=finite_float, default=2.0)
-    cpl.add_argument("--samples", type=int, default=20_000)
+    cpl.add_argument("--samples", type=positive_int, default=20_000)
     cpl.add_argument("--d", type=int, default=16)
     cpl.add_argument("--seeds", type=positive_int, default=3)
     cpl.add_argument("--seed", type=int, default=1)

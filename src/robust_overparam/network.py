@@ -18,6 +18,10 @@ from .rng import stream
 
 # rows of X are points; W has one column per hidden unit
 _CHUNK = 256
+# elements per coupling_scan tile: its two float and two bool workspaces take
+# 1.1 MiB, inside a 2 MiB L2 cache; on a 2-core Xeon with that L2, 65536 was
+# the fastest of 16384-131072
+_TILE = 65536
 
 
 @dataclass(frozen=True)
@@ -122,13 +126,16 @@ def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
 
     Returns the gap max |f_W(x) - g_W(x)| over the sample (a lower bound on
     the sup) and a per-unit mask of units whose activation on some sample
-    point differs from initialization.  Rows are scanned in chunks; at the
-    largest widths the chunk-times-width matrices dominate the cost, so two
-    float and two bool chunk workspaces are allocated once per call and
-    refilled in place for every chunk (a last partial chunk uses their
-    leading rows).  On each chunk X the in-place steps are the operations of
-    pre0 = X @ W0 + b0, shift = X @ (W - W0), f = relu(pre0 + shift) @ a0,
-    g = (shift * 1{pre0 >= 0}) @ a0, flip = 1{pre0 + shift >= 0} != 1{pre0 >= 0}.
+    point differs from initialization.  With p0 = X @ W0 + b0 and
+    s = X @ (W - W0),
+
+        f - g = (relu(p0 + s) - s * 1{p0 >= 0}) @ a0,
+        flip  = 1{p0 + s >= 0} != 1{p0 >= 0}.
+
+    Rows are scanned in blocks of _CHUNK, and each block walks the units in
+    tiles of _TILE // rows columns, so every elementwise pass stays in cache.
+    The tile workspaces are allocated once per call and refilled in place; a
+    block's f - g is the sum of its tiles' matvecs, taken in column order.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
@@ -138,27 +145,29 @@ def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
     gap = 0.0
     flipped = np.zeros(init.m, dtype=bool)
     rows = min(_CHUNK, len(sample))
-    pre_buf = np.empty((rows, init.m))
-    shift_buf = np.empty((rows, init.m))
-    on0_buf = np.empty((rows, init.m), dtype=bool)
-    on_buf = np.empty((rows, init.m), dtype=bool)
+    cols = max(1, _TILE // rows)
+    bufs = [np.empty(rows * cols), np.empty(rows * cols)]
+    bufs += [np.empty(rows * cols, dtype=bool), np.empty(rows * cols, dtype=bool)]
     for lo in range(0, len(sample), _CHUNK):
         X = sample[lo : lo + _CHUNK]
-        k = len(X)
-        pre, shift, on0, on = pre_buf[:k], shift_buf[:k], on0_buf[:k], on_buf[:k]
-        np.matmul(X, init.W0, out=pre)
-        pre += init.b0
-        np.greater_equal(pre, 0.0, out=on0)
-        np.matmul(X, dW, out=shift)
-        pre += shift
-        np.greater_equal(pre, 0.0, out=on)
-        np.maximum(pre, 0.0, out=pre)
-        f = pre @ init.a0
-        shift *= on0
-        g = shift @ init.a0
-        gap = float(np.maximum(gap, np.max(np.abs(f - g))))  # NaN propagates; max() would drop it
-        np.not_equal(on, on0, out=on)
-        flipped |= on.any(axis=0)
+        diff = np.zeros(len(X))
+        for c0 in range(0, init.m, cols):
+            c = slice(c0, c0 + cols)
+            shape = (len(X), min(cols, init.m - c0))
+            pre, shift, on0, on = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+            np.matmul(X, init.W0[:, c], out=pre)
+            pre += init.b0[c]
+            np.greater_equal(pre, 0.0, out=on0)
+            np.matmul(X, dW[:, c], out=shift)
+            pre += shift
+            np.greater_equal(pre, 0.0, out=on)
+            np.not_equal(on, on0, out=on)
+            flipped[c] |= on.any(axis=0)
+            np.maximum(pre, 0.0, out=pre)
+            shift *= on0
+            pre -= shift
+            diff += pre @ init.a0[c]
+        gap = float(np.maximum(gap, np.max(np.abs(diff))))  # NaN propagates; max() would drop it
     return gap, flipped
 
 

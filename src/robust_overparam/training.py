@@ -79,18 +79,20 @@ class HyperParams:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and non-negative, got {self.eta!r}")
 
 
 def schedule(eps: float, R: float, m: int, c_T: float = 1.0, c_eta: float = 1.0) -> HyperParams:
     """T = ceil(c_T eps^-2 R^2), eta = c_eta eps m^(-1/3)."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    if not 1 <= R < math.inf:
+        raise ValueError("R must be finite and >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not (math.isfinite(c_T) and math.isfinite(c_eta)):
+        raise ValueError(f"c_T and c_eta must be finite, got {c_T!r} and {c_eta!r}")
     return HyperParams(
         T=math.ceil(c_T * eps**-2 * R**2),
         eta=c_eta * eps * m ** (-1.0 / 3.0),

@@ -183,6 +183,8 @@ class TestWorstCaseAttack:
         adv = make_adversary("worst", AttackConfig(rho=0.1))
         with pytest.raises(ValueError):
             adv.perturb(st, np.array([1.0, 0.0, 0.0]), 1.0, LOSS)
+        with pytest.raises(ValueError):
+            attack_batch(st, np.array([[math.nan, math.nan, math.nan]]), np.ones(1), LOSS, adv.cfg)
 
 
 def _reference_attack(st, X, y, loss, cfg, tag=0):
@@ -282,6 +284,13 @@ class TestBaselines:
         assert np.array_equal(a, b)
         validate_domain(a)
         assert np.all(np.linalg.norm(a - X, axis=1) <= 0.15 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["random", "identity"])
+    def test_rejects_off_domain_input(self, name):
+        adv = make_adversary(name, AttackConfig(rho=0.1))
+        for x in ([1.0, 0.0, 0.0], [math.nan, math.nan, math.nan]):
+            with pytest.raises(ValueError):
+                adv.perturb(None, np.array([x]), None, LOSS)
 
     def test_make_adversary(self):
         cfg = AttackConfig(rho=0.1)

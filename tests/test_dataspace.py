@@ -128,6 +128,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
 
+    def test_rejects_nan_point(self):
+        with pytest.raises(ValueError):
+            validate_domain(np.array([[math.nan, math.nan, math.nan]]))
+        with pytest.raises(ValueError):
+            validate_domain(np.array([[R, 0.0, 0.5], [R, math.nan, 0.5]]))
+        with pytest.raises(ValueError):
+            Dataset(np.array([[math.nan, math.nan, math.nan]]), np.array([1.0]))
+
     def test_rejects_big_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[R, 0.0, 0.5]]), np.array([2.0]))

@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 
+from robust_overparam import harness
 from robust_overparam.harness import atomic_write_text, build_parser, run
 
 
@@ -188,6 +189,19 @@ class TestSweepCommand:
         run(self.BASE + ["--m-list", "256,512", "--out", str(b)])
         assert _read(a) == _read(b)
 
+    def test_fit_rows_independent_of_pool_size(self, tmp_path, monkeypatch):
+        # a pool pinned to one BLAS thread would move these rows in the last bits
+        files = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv(harness.THREADS_ENV, threads)
+            out = tmp_path / f"s{threads}.csv"
+            assert run([
+                "sweep", "fit", "--m-list", "512,1024", "--repeats", "1", "--n", "10", "--d", "8",
+                "--seed", "1", "--out", str(out),
+            ]) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
     def test_no_temp_leftovers(self, tmp_path):
         out = tmp_path / "agg.csv"
         run(self.BASE + ["--m-list", "256", "--out", str(out)])
@@ -270,6 +284,30 @@ class TestCouplingCommand:
         assert err["error"] == "usage" and "--seeds" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_is_usage_error(self, samples, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        code = run([
+            "coupling", "--m-list", "64", "--samples", samples, "--d", "6", "--out", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "--samples" in err["message"]
+        assert not out.exists()
+
+    def test_outputs_independent_of_pool_size(self, tmp_path, monkeypatch):
+        # one worker keeps the default BLAS threads; two pin BLAS to one thread
+        files = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv(harness.THREADS_ENV, threads)
+            out, grad = tmp_path / f"c{threads}.csv", tmp_path / f"g{threads}.csv"
+            assert run([
+                "coupling", "--m-list", "2048,300", "--R", "2", "--samples", "700",
+                "--d", "8", "--seeds", "2", "--out", str(out), "--grad-out", str(grad),
+            ]) == 0
+            files[threads] = (out.read_bytes(), grad.read_bytes())
+        assert files["1"] == files["2"]
+
     def test_rows_follow_m_list_order(self, tmp_path):
         flags = ["--samples", "300", "--d", "6", "--seeds", "2", "--seed", "4"]
 
@@ -286,6 +324,61 @@ class TestCouplingCommand:
         assert [r.split(",")[0] for r in both] == ["4096", "1024"]
         assert both == wide + narrow
         assert both_g == wide_g + narrow_g
+
+
+class TestBlasPin:
+    @pytest.fixture(autouse=True)
+    def two_blas_threads(self, monkeypatch):
+        # start every test from 2 threads, so a count left at 1 shows
+        monkeypatch.setenv(harness.THREADS_ENV, "2")
+        controls = harness._openblas_threads()
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+    def _counts(self):
+        return [get() for get, _ in harness._openblas_threads()]
+
+    def test_every_loaded_openblas_found(self):
+        # a build exporting none of _BLAS_SYMBOLS would run unpinned inside the pool
+        try:
+            with open("/proc/self/maps") as fh:
+                loaded = {ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln}
+        except OSError:
+            loaded = set()
+        assert len(harness._openblas_threads()) == len(loaded)
+
+    def test_pinned_inside_pool_and_restored(self):
+        before = self._counts()
+        seen = harness._pool_map(lambda _: self._counts(), range(4), one_blas_thread=True)
+        assert seen == [[1] * len(before)] * 4
+        assert self._counts() == before
+
+    def test_restored_when_a_cell_raises(self):
+        before = self._counts()
+
+        def cell(i):
+            if i == 2:
+                raise RuntimeError("cell failed")
+            return i
+
+        with pytest.raises(RuntimeError, match="cell failed"):
+            harness._pool_map(cell, range(4), one_blas_thread=True)
+        assert self._counts() == before
+
+    def test_unpinned_runs_leave_blas_alone(self, monkeypatch):
+        before = self._counts()
+        assert harness._pool_map(lambda _: self._counts(), range(3), one_blas_thread=False) == [before] * 3
+        monkeypatch.setenv(harness.THREADS_ENV, "1")
+        assert harness._pool_map(lambda _: self._counts(), range(3), one_blas_thread=True) == [before] * 3
+
+    def test_no_symbol_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLAS_SYMBOLS", (("no_such_get", "no_such_set"),))
+        assert harness._openblas_threads() == []
+        assert harness._pool_map(lambda i: i * i, range(5), one_blas_thread=True) == [0, 1, 4, 9, 16]
 
 
 class TestSnapshotRoundtrip:

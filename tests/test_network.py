@@ -8,6 +8,7 @@ import pytest
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     _CHUNK,
+    _TILE,
     InitSnapshot,
     NetworkState,
     anti_concentration_check,
@@ -263,26 +264,34 @@ class TestCoupling:
 
 
 def _scan_reference(state, X, chunk=None):
-    """The coupling_scan docstring formula in plain numpy, over row blocks of `chunk` rows.
+    """The coupling_scan docstring formula in plain numpy, tiled as the scan tiles it.
 
-    With chunk=None the whole sample is one block.  BLAS may block a larger
-    matmul differently (at m = 300 a 700-row X @ W0 differs from its 256-row
-    blocks in the last bit), so only the reference over the scan's own
-    blocks can be compared bit for bit.
+    Rows go in blocks of `chunk`, and each block walks the units in tiles of
+    _TILE // rows columns, summing its tiles' one-matvec f - g in column
+    order.  With chunk=None the whole sample is one block and one tile.
+    BLAS may block a larger matmul differently (at m = 300 a 700-row
+    X @ W0 differs from its 256-row blocks in the last bit), and the sum
+    over tiles rounds differently from one matvec, so only the reference
+    over the scan's own blocks and tiles can be compared bit for bit.
     """
     init = state.init
     dW = state.W - init.W0
-    step = chunk or len(X)
+    rows = min(chunk or len(X), len(X))
+    cols = max(1, _TILE // rows) if chunk else init.m
     gaps, flips = [], []
-    for lo in range(0, len(X), step):
-        Xc = X[lo : lo + step]
-        pre0 = Xc @ init.W0 + init.b0
-        shift = Xc @ dW
-        f = np.maximum(pre0 + shift, 0.0) @ init.a0
-        mask0 = pre0 >= 0
-        g = (shift * mask0) @ init.a0
-        gaps.append(float(np.max(np.abs(f - g))))
-        flips.append(((pre0 + shift >= 0) != mask0).any(axis=0))
+    for lo in range(0, len(X), rows):
+        Xc = X[lo : lo + rows]
+        diff = np.zeros(len(Xc))
+        tile_flips = []
+        for c0 in range(0, init.m, cols):
+            c = slice(c0, c0 + cols)
+            pre0 = Xc @ init.W0[:, c] + init.b0[c]
+            shift = Xc @ dW[:, c]
+            mask0 = pre0 >= 0
+            diff += (np.maximum(pre0 + shift, 0.0) - shift * mask0) @ init.a0[c]
+            tile_flips.append(((pre0 + shift >= 0) != mask0).any(axis=0))
+        gaps.append(float(np.max(np.abs(diff))))
+        flips.append(np.concatenate(tile_flips))
     return max(gaps), np.logical_or.reduce(flips)
 
 
@@ -306,6 +315,24 @@ class TestCouplingScanReference:
         assert np.array_equal(flipped, whole_flipped)
         assert np.array_equal(st.W, W)
         assert flipped.any() == perturbed
+
+    @pytest.mark.parametrize("tiles", [0.5, 2, 2.25], ids=["below-one-tile", "whole-tiles", "ragged"])
+    @pytest.mark.parametrize("n", [1, 257])
+    def test_tile_edges(self, n, tiles):
+        # n = 1 gives one-row tiles _TILE wide; n = 257 gives 256 x 256 tiles and a one-row block
+        m = int(tiles * (_TILE // min(_CHUNK, n)))
+        st = perturbed_state(init_network(m, 16, seed=24), 2.0, seed=24)
+        X = uniform_domain_sample(n, 16, stream(24, "scan", n))
+        gap, flipped = coupling_scan(st, X)
+        ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
+        assert gap == ref_gap
+        assert np.array_equal(flipped, ref_flipped)
+        whole_gap, whole_flipped = _scan_reference(st, X)
+        assert gap == pytest.approx(whole_gap, rel=1e-12, abs=0.0)
+        assert np.array_equal(flipped, whole_flipped)
+        # the definition, through forward_real's X @ W rather than p0 + s
+        by_definition = np.max(np.abs(forward_real(st, X) - forward_pseudo(st, X)))
+        assert gap == pytest.approx(by_definition, rel=1e-9)
 
     @pytest.mark.parametrize("n", [1, 700])
     def test_nan_column_propagates(self, n):
