@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .rng import stream
 
@@ -106,7 +105,7 @@ def separability(ds: Dataset, rho: float) -> SeparabilityReport:
     """
     if ds.n < 2:
         raise ValueError("separability needs at least two points")
-    dm = squareform(pdist(ds.X))
+    dm = np.linalg.norm(ds.X[:, None] - ds.X[None], axis=-1)
     np.fill_diagonal(dm, np.inf)
     per_point = dm.min(axis=1)
     delta = float(per_point.min())

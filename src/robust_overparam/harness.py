@@ -201,9 +201,7 @@ def cmd_coupling(args) -> int:
         key=lambda job: -job[0],
     )
     results = _pool_map(
-        lambda job: _coupling_cell(job[0], args.d, args.R, args.samples, args.batch_n, job[1]),
-        jobs,
-        one_blas_thread=True,
+        lambda job: _coupling_cell(job[0], args.d, args.R, args.samples, args.batch_n, job[1]), jobs
     )
     by_m: dict[int, list] = {m: [] for m in args.m_list}
     for (m, _), res in zip(jobs, results):
@@ -234,6 +232,8 @@ def cmd_anticonc(args) -> int:
 
 def build_fit_instance(n, d, delta_min, rho, eps, seed, pert_per_point):
     """Shared setup for fit runs: dataset, interpolant, and the fit sample."""
+    if pert_per_point < 0:
+        raise ValueError(f"--pert-per-point must be >= 0, got {pert_per_point}")
     ds = synth_separated(n, d, delta_min, seed)
     rep = separability(ds, rho)
     spec = StepSpec(rho=rho, delta=rep.delta, eps1=eps / (3.0 * n))
@@ -324,12 +324,8 @@ def _sweep_cell_train(args, m: int, delta: float, seed: int) -> dict:
 def cmd_sweep(args) -> int:
     cell_fn = _sweep_cell_fit if args.target == "fit" else _sweep_cell_train
     cells = [(m, delta) for m in args.m_list for delta in (args.delta_list or [args.delta])]
-    # the fit's Gram matrix (an OpenBLAS syrk) rounds differently on one BLAS
-    # thread, so a pinned pool would make its rows depend on the worker count
     results = _pool_map(
-        lambda cell: [cell_fn(args, *cell, args.seed + rep) for rep in range(args.repeats)],
-        cells,
-        one_blas_thread=False,
+        lambda cell: [cell_fn(args, *cell, args.seed + rep) for rep in range(args.repeats)], cells
     )
     keys = sorted(results[0][0].keys())
     header = ["m", "delta"] + [f"{k}_median" for k in keys]
@@ -341,26 +337,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _pool_map(fn, items, *, one_blas_thread: bool):
-    """[fn(item) for item in items], on up to THREADS_ENV worker threads.
-
-    With one_blas_thread, OpenBLAS runs on one thread while more than one
-    worker does: the workers already fill the cores, and multithreaded BLAS
-    inside each would oversubscribe them.  Only cells whose BLAS results do
-    not depend on the thread count may ask for it.
-    """
-    workers = os.environ.get(THREADS_ENV)
-    workers = int(workers) if workers else min(4, os.cpu_count() or 1)
-    if workers <= 1 or len(items) <= 1:
+def _pool_map(fn, items):
+    """[fn(item) for item in items], on THREADS_ENV (default min(4, cores)) worker threads."""
+    text = os.environ.get(THREADS_ENV)
+    if text and not (text.isdecimal() and int(text) >= 1):
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {text!r}")
+    workers = int(text) if text else min(4, os.cpu_count() or 1)
+    if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    pin = _blas_single_threaded() if one_blas_thread else contextlib.nullcontext()
-    # exits in reverse: the pool joins, then the BLAS thread counts return
-    with pin, concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
-# (get, set) thread-count symbols of an OpenBLAS build; the scipy wheels
-# prefix them, and their 64-bit-integer builds add a suffix too
+# (get, set) thread-count symbols of an OpenBLAS build; numpy's wheels bundle
+# scipy-openblas, which prefixes them, and 64-bit-integer builds add a suffix
 _BLAS_SYMBOLS = tuple(
     (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
     for prefix in ("scipy_", "")
@@ -607,7 +597,10 @@ def run(argv=None) -> int:
         _emit_error("usage", f"bad --config: {exc}")
         return 2
     try:
-        return args.func(args)
+        # one BLAS thread per command: the pool's workers already fill the
+        # cores, and outputs must not depend on the host's BLAS thread count
+        with _blas_single_threaded():
+            return args.func(args)
     except (CertificationError, SeparabilityError, FitDegenerateError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1

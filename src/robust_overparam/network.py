@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .rng import stream
 
@@ -240,15 +239,19 @@ def anti_concentration_check(m: int, d: int, t_grid, trials: int, seed: int):
     """Monte-Carlo check that Pr[|<u,x> + beta| <= t] stays O(t).
 
     With u ~ N(0, I_d), beta ~ N(0,1) and x on the domain, the probe variable
-    is exactly N(0, 2), so the estimate must match 2*Phi(t/sqrt(2)) - 1 and
-    stay below the density envelope t/sqrt(pi), both up to 5 standard errors.
-    Raises CertificationError on violation.  m is recorded for provenance
-    only; the scaled probe does not depend on it.
+    is exactly N(0, 2), so the estimate must match 2*Phi(t/sqrt(2)) - 1 =
+    erf(t/2) and stay below the density envelope t/sqrt(pi), both up to 5
+    standard errors.  Raises CertificationError on violation and ValueError
+    on a negative threshold.  m is recorded for provenance only; the scaled
+    probe does not depend on it.
     """
     from .polyapprox import CertificationError
 
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials")
+    t_grid = [float(t) for t in t_grid]
+    if any(not t >= 0 for t in t_grid):
+        raise ValueError(f"thresholds must be >= 0, got {t_grid}")
     rng = stream(seed, "anticonc")
     x = np.zeros(d)
     x[0] = math.sqrt(3.0) / 2.0
@@ -258,9 +261,8 @@ def anti_concentration_check(m: int, d: int, t_grid, trials: int, seed: int):
     probe = np.abs(u @ x + beta)
     rows = []
     for t in t_grid:
-        t = float(t)
-        est = float(np.mean(probe <= t)) if t > 0 else float(np.mean(probe <= 0.0))
-        exact = float(2.0 * ndtr(t / math.sqrt(2.0)) - 1.0)
+        est = float(np.mean(probe <= t))
+        exact = math.erf(t / 2.0)
         se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / trials)
         envelope = t / math.sqrt(math.pi)
         rows.append(AntiConcentrationRow(t, est, exact, se, envelope))

@@ -26,8 +26,6 @@ from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import gammaln
 
 from .dataspace import Dataset, SeparabilityError, separability
 
@@ -55,14 +53,15 @@ def clenshaw(coeffs, z):
 def chebyshev_nodes_series(fn: Callable, degree: int) -> np.ndarray:
     """Chebyshev T-basis coefficients of a degree-bounded function.
 
-    Interpolates fn at the degree+1 extrema nodes cos(pi*j/degree) via DCT-I;
+    Interpolates fn at the degree+1 extrema nodes cos(pi*j/degree) via DCT-I,
+    computed as the real FFT of the even extension of the node values;
     exact (to roundoff) whenever fn is a polynomial of degree <= `degree`.
     """
     if degree == 0:
         return np.asarray([float(np.asarray(fn(np.zeros(1)))[0])])
     nodes = np.cos(np.pi * np.arange(degree + 1) / degree)
     vals = np.asarray(fn(nodes), dtype=float)
-    c = dct(vals, type=1) / degree
+    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / degree
     c[0] *= 0.5
     c[-1] *= 0.5
     return c
@@ -308,11 +307,13 @@ def _sign_series_params(eta_gap: float, eps1: float):
 def _sign_series(eta_gap: float, eps1: float):
     """Float coefficients B_v of p~(z) = z * sum_v B_v T_v(1 - z^2)."""
     k, d_walk, cap, budget = _sign_series_params(eta_gap, eps1)
-    i = np.arange(k + 1, dtype=float)[:, None]
-    v = np.arange(cap + 1, dtype=float)[None, :]
+    i = np.arange(k + 1)[:, None]
+    v = np.arange(cap + 1)[None, :]
     valid = (v <= i) & ((i - v) % 2 == 0)
-    with np.errstate(invalid="ignore"):
-        logpmf = gammaln(i + 1) - gammaln((i + v) / 2 + 1) - gammaln((i - v) / 2 + 1) - i * math.log(2.0)
+    # log C(i, (i+v)/2) / 2^i from log-factorials; invalid (i, v) read 0! and are masked
+    log_fact = np.array([math.lgamma(j + 1) for j in range(k + 1)])
+    hi, lo = np.where(valid, (i + v) // 2, 0), np.where(valid, (i - v) // 2, 0)
+    logpmf = log_fact[i] - log_fact[hi] - log_fact[lo] - i * math.log(2.0)
     beta = np.where(valid, np.exp(np.where(valid, logpmf, 0.0)), 0.0)
     beta[:, 1:] *= 2.0
     series = _walk_weights(k) @ beta

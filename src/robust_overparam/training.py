@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dataspace import Dataset
 from .network import (
@@ -241,7 +240,7 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
     With deviations restricted to the last coordinate, the pseudo-network is
     linear in the per-unit scalars c_r with features
     phi_r(x) = a0_r * (1/2) * 1{<W0_r, x> + b0_r >= 0}; the ridge system is
-    solved in its dual (kernel) form via a Cholesky factorization.
+    solved in its dual (kernel) form, K = Phi Phi^T + ridge I.
     """
     S = np.atleast_2d(np.asarray(sample, dtype=float))
     vals = np.asarray(target(S) if callable(target) else target, dtype=float)
@@ -257,7 +256,7 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
         raise ValueError("ridge must be positive")
     K = Phi @ Phi.T
     K[np.diag_indices_from(K)] += lam
-    alpha = cho_solve(cho_factor(K, lower=True), vals)
+    alpha = np.linalg.solve(K, vals)
     coeffs = Phi.T @ alpha
     max_err = float(np.max(np.abs(Phi @ coeffs - vals)))
     two_inf = float(np.max(np.abs(coeffs)))

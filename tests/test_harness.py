@@ -1,13 +1,17 @@
 """Tests for the CLI surface: exit codes, file formats, determinism."""
 
 import json
+import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from robust_overparam import harness
 from robust_overparam.harness import atomic_write_text, build_parser, run
+from robust_overparam.polyapprox import CertificationError
 
 
 def _read(path):
@@ -135,6 +139,14 @@ class TestAnticoncCommand:
         assert lines[1] == "t,estimate,exact,stderr,envelope"
         assert len(lines) == 4
 
+    def test_negative_threshold_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        code = run(["anticonc", "--t-grid=-0.1,0.05", "--trials", "10000", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and ">= 0" in err["message"]
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_fit_json(self, tmp_path):
@@ -159,6 +171,36 @@ class TestFitCommand:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FitDegenerateError"
         assert not out.exists()
+
+    def test_negative_pert_per_point_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        code = run([
+            "fit", "--n", "6", "--d", "6", "--m", "256", "--pert-per-point", "-5", "--out", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "--pert-per-point" in err["message"]
+        assert not out.exists()
+
+    def test_independent_of_process_blas_threads(self, tmp_path):
+        # the Gram product rounds differently on one and two BLAS threads, so
+        # this holds only because every command runs on one
+        controls = harness._openblas_threads()
+        saved = [get() for get, _ in controls]
+        files = []
+        try:
+            for threads in (1, 2):
+                for _, set_ in controls:
+                    set_(threads)
+                out = tmp_path / f"fit{threads}.json"
+                assert run([
+                    "fit", "--n", "10", "--d", "8", "--m", "2048", "--seed", "1", "--out", str(out),
+                ]) == 0
+                files.append(out.read_bytes())
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+        assert files[0] == files[1]
 
 
 class TestSweepCommand:
@@ -190,7 +232,8 @@ class TestSweepCommand:
         assert _read(a) == _read(b)
 
     def test_fit_rows_independent_of_pool_size(self, tmp_path, monkeypatch):
-        # a pool pinned to one BLAS thread would move these rows in the last bits
+        # every command runs on one BLAS thread, so the worker count cannot
+        # move the fit's Gram product
         files = []
         for threads in ("1", "2"):
             monkeypatch.setenv(harness.THREADS_ENV, threads)
@@ -242,6 +285,14 @@ class TestSweepCommand:
             metas.append(_read(out).split("\n")[0])
         assert metas[0] != metas[1]
 
+
+    def test_negative_pert_per_point_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run(self.BASE[:-1] + ["-5", "--m-list", "64,128", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "--pert-per-point" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_is_usage_error(self, repeats, tmp_path, capsys):
@@ -296,7 +347,7 @@ class TestCouplingCommand:
         assert not out.exists()
 
     def test_outputs_independent_of_pool_size(self, tmp_path, monkeypatch):
-        # one worker keeps the default BLAS threads; two pin BLAS to one thread
+        # one worker or two, every cell runs on one BLAS thread
         files = {}
         for threads in ("1", "2"):
             monkeypatch.setenv(harness.THREADS_ENV, threads)
@@ -307,6 +358,19 @@ class TestCouplingCommand:
             ]) == 0
             files[threads] = (out.read_bytes(), grad.read_bytes())
         assert files["1"] == files["2"]
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_variable_is_usage_error(self, threads, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(harness.THREADS_ENV, threads)
+        out = tmp_path / "z.csv"
+        code = run([
+            "coupling", "--m-list", "64,128", "--samples", "50", "--d", "6", "--seeds", "1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and harness.THREADS_ENV in err["message"]
+        assert not out.exists()
 
     def test_rows_follow_m_list_order(self, tmp_path):
         flags = ["--samples", "300", "--d", "6", "--seeds", "2", "--seed", "4"]
@@ -327,6 +391,10 @@ class TestCouplingCommand:
 
 
 class TestBlasPin:
+    # every command runs inside one pin site, harness.run; these tests swap a
+    # command's handler for a probe and read the counts around it
+    POLY = ["poly", "--delta", "0.8", "--rho", "0.05", "--eps1", "0.01"]
+
     @pytest.fixture(autouse=True)
     def two_blas_threads(self, monkeypatch):
         # start every test from 2 threads, so a count left at 1 shows
@@ -342,8 +410,12 @@ class TestBlasPin:
     def _counts(self):
         return [get() for get, _ in harness._openblas_threads()]
 
+    def _run_with(self, monkeypatch, handler):
+        monkeypatch.setattr(harness, "cmd_poly", handler)
+        return run(self.POLY)
+
     def test_every_loaded_openblas_found(self):
-        # a build exporting none of _BLAS_SYMBOLS would run unpinned inside the pool
+        # a build exporting none of _BLAS_SYMBOLS would run its commands unpinned
         try:
             with open("/proc/self/maps") as fh:
                 loaded = {ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln}
@@ -351,13 +423,34 @@ class TestBlasPin:
             loaded = set()
         assert len(harness._openblas_threads()) == len(loaded)
 
-    def test_pinned_inside_pool_and_restored(self):
+    def test_pinned_inside_command_and_restored(self, monkeypatch):
         before = self._counts()
-        seen = harness._pool_map(lambda _: self._counts(), range(4), one_blas_thread=True)
-        assert seen == [[1] * len(before)] * 4
+        seen = []
+
+        def handler(args):
+            seen.append(self._counts())
+            seen.extend(harness._pool_map(lambda _: self._counts(), range(4)))
+            return 0
+
+        assert self._run_with(monkeypatch, handler) == 0
+        assert seen == [[1] * len(before)] * 5
         assert self._counts() == before
 
-    def test_restored_when_a_cell_raises(self):
+    @pytest.mark.parametrize(
+        "exc, code", [(CertificationError("bad"), 1), (ValueError("bad"), 2)], ids=["exit1", "exit2"]
+    )
+    def test_restored_after_error_exit(self, exc, code, monkeypatch, capsys):
+        before = self._counts()
+
+        def handler(args):
+            assert self._counts() == [1] * len(before)
+            raise exc
+
+        assert self._run_with(monkeypatch, handler) == code
+        assert json.loads(capsys.readouterr().err)["message"] == "bad"
+        assert self._counts() == before
+
+    def test_restored_when_a_cell_raises(self, monkeypatch):
         before = self._counts()
 
         def cell(i):
@@ -366,19 +459,46 @@ class TestBlasPin:
             return i
 
         with pytest.raises(RuntimeError, match="cell failed"):
-            harness._pool_map(cell, range(4), one_blas_thread=True)
+            self._run_with(monkeypatch, lambda args: harness._pool_map(cell, range(4)))
         assert self._counts() == before
-
-    def test_unpinned_runs_leave_blas_alone(self, monkeypatch):
-        before = self._counts()
-        assert harness._pool_map(lambda _: self._counts(), range(3), one_blas_thread=False) == [before] * 3
-        monkeypatch.setenv(harness.THREADS_ENV, "1")
-        assert harness._pool_map(lambda _: self._counts(), range(3), one_blas_thread=True) == [before] * 3
 
     def test_no_symbol_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(harness, "_BLAS_SYMBOLS", (("no_such_get", "no_such_set"),))
         assert harness._openblas_threads() == []
-        assert harness._pool_map(lambda i: i * i, range(5), one_blas_thread=True) == [0, 1, 4, 9, 16]
+
+        def handler(args):
+            assert harness._pool_map(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
+            return 0
+
+        assert self._run_with(monkeypatch, handler) == 0
+
+
+class TestWithoutScipy:
+    # a None entry in sys.modules makes every `import scipy...` raise
+    SCRIPT = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from robust_overparam.harness import run\n"
+        "print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        commands = [
+            ["poly", "--delta", "0.8", "--rho", "0.05", "--eps1", "0.01", "--emit", "p.json"],
+            ["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", "0.05", "--out", "s.json"],
+            ["anticonc", "--m", "64", "--d", "8", "--t-grid", "0.05,0.1", "--trials", "20000",
+             "--out", "a.csv"],
+            ["fit", "--n", "6", "--d", "6", "--m", "256", "--pert-per-point", "2", "--out", "f.json"],
+        ]
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 0, 0, 0], proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "f.json", "p.json", "s.json"]
 
 
 class TestSnapshotRoundtrip:

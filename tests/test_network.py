@@ -373,3 +373,15 @@ class TestAntiConcentration:
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):
             anti_concentration_check(256, 8, [0.1], trials=100, seed=0)
+
+    def test_rejects_negative_threshold(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            anti_concentration_check(256, 8, [-0.1, 0.05], trials=10_000, seed=0)
+
+    def test_exact_is_normal_cdf(self):
+        # Pr[|N(0, 2)| <= t] = 2 Phi(t / sqrt 2) - 1, with Phi by the midpoint rule
+        rows = anti_concentration_check(256, 8, [0.05, 0.5, 1.0], trials=10_000, seed=24)
+        for r in rows:
+            x = (np.arange(200_000) + 0.5) * (r.t / 200_000)
+            mass = 2.0 * np.sum(np.exp(-x * x / 4.0)) * (r.t / 200_000) / math.sqrt(4.0 * math.pi)
+            assert abs(r.exact - mass) <= 1e-12

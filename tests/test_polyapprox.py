@@ -184,6 +184,22 @@ class TestCompressedSign:
         with pytest.raises(ValueError):
             compressed_sign_poly(1.5, 0.1)
 
+    # the (eta_gap, eps1) of the compressed sign polynomials behind the
+    # acceptance coefficient-bound cases and the step-certification matrix
+    SERIES_SPECS = [(0.5, 0.2), (0.25, 0.1), (0.2, 0.1)] + [
+        (StepSpec(rho=rho, delta=delta, eps1=eps1).eta_gap, eps1)
+        for delta in (0.5, 0.8, 1.2)
+        for rho in (0.02, 0.05)
+        for eps1 in (0.1, 0.01)
+    ]
+
+    @pytest.mark.parametrize("eta,eps1", SERIES_SPECS)
+    def test_float_series_matches_exact(self, eta, eps1):
+        series, k, _, cap, _ = polyapprox._sign_series(eta, eps1)
+        nums, e = polyapprox._sign_series_exact(k, cap)
+        exact = np.array([float(Fraction(n, 2**e)) for n in nums])
+        assert np.max(np.abs(series - exact) / np.abs(exact)) <= 1e-11
+
 
 class TestStepPoly:
     SPEC = StepSpec(rho=0.05, delta=0.8, eps1=0.01)
