@@ -9,11 +9,11 @@ construction.  Per-example randomness is keyed by (seed, tag, example index,
 restart) so attacks are reproducible under any scheduling and larger restart
 counts extend, not reshuffle, smaller ones.
 
-Each PGA iterate is evaluated once: one X @ W + b gives the pre-activations,
-from which the loss, its slope, the activation mask and the input gradient
-all follow, and the evaluation after a projection is the next step's forward
-pass.  The n x m pre-activation, activation and mask arrays are workspaces
-allocated once per attack_batch call and refilled in place by every iterate.
+Each PGA iterate is evaluated once: one network._Workspace forward gives the
+outputs and the activation mask, from which the loss, its slope and the
+input gradient all follow, and the evaluation after a projection is the next
+step's forward pass.  The workspace is allocated once per attack_batch call
+and refilled in place by every iterate.
 """
 from __future__ import annotations
 
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataspace import HEAD_RADIUS, validate_domain
-from .network import NetworkState, _loss_slopes
+from .network import NetworkState, _loss_slopes, _Workspace
 from .rng import stream
 
-_PROJECT_ROUNDS = 50
 _PROJECT_TOL = 1e-9
 
 
@@ -34,7 +33,6 @@ _PROJECT_TOL = 1e-9
 class AttackConfig:
     rho: float
     steps: int = 20
-    step_size: float | None = None
     restarts: int = 3
     seed: int = 0
 
@@ -46,56 +44,26 @@ class AttackConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
-    @property
-    def resolved_step_size(self) -> float:
-        return self.rho / 5.0 if self.step_size is None else self.step_size
-
 
 def input_gradient(state: NetworkState, x, y, loss) -> np.ndarray:
     """Subgradient of the loss in the input: l'(f(x), y) sum_r a_r W_r 1{active}."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    g = _input_gradient_batch(state, np.atleast_2d(x), np.atleast_1d(y), loss)
-    return g[0] if single else g
-
-
-def _input_gradient_batch(state: NetworkState, X, y, loss) -> np.ndarray:
+    X = np.atleast_2d(x)
     ws = _Workspace(state, len(X))
-    return ws.input_gradient(_loss_slopes(loss, ws.forward(X), y))
-
-
-class _Workspace:
-    """n x m buffers that every evaluation of an n-point batch refills in place."""
-
-    def __init__(self, state: NetworkState, n: int):
-        self.state = state
-        self.pre = np.empty((n, state.init.m))
-        self.act = np.empty((n, state.init.m))
-        self.mask = np.empty((n, state.init.m), dtype=bool)
-
-    def forward(self, X) -> np.ndarray:
-        """network.forward_real(state, X), op for op; keeps X @ W + b0 in pre."""
-        np.matmul(X, self.state.W, out=self.pre)
-        self.pre += self.state.init.b0
-        np.maximum(self.pre, 0.0, out=self.act)
-        return self.act @ self.state.init.a0
-
-    def input_gradient(self, slopes: np.ndarray) -> np.ndarray:
-        """slopes * sum_r a_r W_r 1{active} at the points of the last forward."""
-        np.greater_equal(self.pre, 0.0, out=self.mask)
-        np.multiply(self.mask, self.state.init.a0, out=self.act)
-        return slopes[:, None] * (self.act @ self.state.W.T)
+    g = ws.input_gradient(_loss_slopes(loss, ws.forward(X), np.atleast_1d(y)))
+    return g[0] if single else g
 
 
 def project_to_cap(z, center, rho: float) -> np.ndarray:
     """Project z onto B_2(center, rho) intersected with the domain X.
 
-    Alternating projection: pin the last coordinate, rescale the head onto
-    its sphere, and when the ball constraint is violated rotate the head
-    along the geodesic toward the center's head to the angle where the ball
-    constraint binds; repeated until both constraints hold within 1e-9 (the
-    domain is then enforced exactly).  Falls back to the center if the loop
-    fails to converge.
+    One pass: pin the last coordinate, rescale the head onto its sphere,
+    and when the ball constraint is violated rotate the head along the
+    geodesic toward the center's head to the angle where the ball constraint
+    binds, which puts it at chord distance rho up to rounding.  Falls back
+    to the center for a head that still misses the ball by more than 1e-9,
+    such as a non-finite one.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
@@ -117,12 +85,8 @@ def _project_cap_batch(Z: np.ndarray, centers: np.ndarray, rho: float) -> np.nda
     H = _rescale_heads(Z[:, :-1].copy(), Hc)
     # chord rho on the head sphere corresponds to geodesic angle theta_max
     theta_max = 2.0 * math.asin(min(rho / (2.0 * HEAD_RADIUS), 1.0))
-    cos_t, sin_t = math.cos(theta_max), math.sin(theta_max)
-    for _ in range(_PROJECT_ROUNDS):
-        dist = np.linalg.norm(H - Hc, axis=1)
-        over = dist > rho + _PROJECT_TOL
-        if not np.any(over):
-            break
+    over = np.linalg.norm(H - Hc, axis=1) > rho + _PROJECT_TOL
+    if np.any(over):
         u = Hc[over] / HEAD_RADIUS
         v = H[over] / HEAD_RADIUS
         w = v - np.sum(u * v, axis=1, keepdims=True) * u
@@ -137,7 +101,7 @@ def _project_cap_batch(Z: np.ndarray, centers: np.ndarray, rho: float) -> np.nda
             w[flat] = pick - np.sum(uf * pick, axis=1, keepdims=True) * uf
             wn[flat] = np.linalg.norm(w[flat], axis=1, keepdims=True)
         w /= wn
-        H[over] = HEAD_RADIUS * (cos_t * u + sin_t * w)
+        H[over] = HEAD_RADIUS * (math.cos(theta_max) * u + math.sin(theta_max) * w)
     dist = np.linalg.norm(H - Hc, axis=1)
     bad = ~(dist <= rho + _PROJECT_TOL)  # negated so non-finite heads fall back too
     if np.any(bad):
@@ -192,7 +156,7 @@ def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0) -> np.ndarr
     validate_domain(X)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = len(X)
-    step = cfg.resolved_step_size
+    step = cfg.rho / 5.0
     ws = _Workspace(state, n)
     best_x = X.copy()
     preds = ws.forward(X)

@@ -174,21 +174,21 @@ def uniform_domain_sample(count: int, d: int, rng) -> np.ndarray:
     return np.hstack([heads, np.full((count, 1), 0.5)])
 
 
-def load_csv(path, d_out: int | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read `f0,...,f{k-1},label` rows and pad/normalize onto the domain."""
     rows = []
     labels = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1].strip().lower() != "label":
-            raise ValueError("expected a trailing 'label' column")
+        header = next(reader, None)  # None for an empty file
+        if not header or header[-1].strip().lower() != "label":
+            raise ValueError(f"{path}: expected a header row f0,...,label")
         for rec in reader:
             if not rec:
                 continue
             rows.append([float(v) for v in rec[:-1]])
             labels.append(float(rec[-1]))
+    if not rows:
+        raise ValueError(f"{path} has a header but no data rows")
     raw = np.asarray(rows, dtype=float)
-    if d_out is None:
-        d_out = raw.shape[1] + 2
-    return Dataset(pad_and_normalize(raw, d_out), np.asarray(labels))
+    return Dataset(pad_and_normalize(raw, raw.shape[1] + 2), np.asarray(labels))

@@ -574,8 +574,13 @@ def run(argv=None) -> int:
         path = _config_path(argv)
         if path is not None:
             # config files supply defaults; explicit flags still win
-            with open(path) as fh:
-                defaults = json.load(fh)
+            try:
+                with open(path) as fh:
+                    defaults = json.load(fh)
+            except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 or not JSON
+                raise _UsageError(f"bad --config: {exc}") from None
+            if not isinstance(defaults, dict):
+                raise _UsageError(f"bad --config: {path} does not hold a JSON object")
             command = next((a for a in argv if not a.startswith("-")), None)
             if command not in subparser_map:
                 raise _UsageError(f"unknown command for --config: {command!r}")
@@ -593,7 +598,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
-    except (argparse.ArgumentError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except argparse.ArgumentError as exc:
         _emit_error("usage", f"bad --config: {exc}")
         return 2
     try:
@@ -604,6 +609,6 @@ def run(argv=None) -> int:
     except (CertificationError, SeparabilityError, FitDegenerateError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         _emit_error("usage", str(exc))
         return 2

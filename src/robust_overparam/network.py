@@ -67,12 +67,47 @@ def init_network(m: int, d: int, seed: int) -> NetworkState:
     return NetworkState(init=snap, W=W0.copy())
 
 
+class _Workspace:
+    """n x m buffers that every evaluation of an n-point batch refills in place.
+
+    A forward leaves the active mask 1{X @ W + b0 >= 0} in mask, which both
+    gradients read.  act holds X @ W + b0, then its ReLU, then the n x m
+    factor of each gradient.
+    """
+
+    def __init__(self, state: NetworkState, n: int):
+        self.state = state
+        self.act = np.empty((n, state.init.m))
+        self.mask = np.empty((n, state.init.m), dtype=bool)
+
+    def forward(self, X) -> np.ndarray:
+        """f(x) = sum_r a_r relu(<W_r, x> + b_r) at each row of X."""
+        np.matmul(X, self.state.W, out=self.act)
+        self.act += self.state.init.b0
+        np.greater_equal(self.act, 0.0, out=self.mask)
+        np.maximum(self.act, 0.0, out=self.act)
+        return self.act @ self.state.init.a0
+
+    def input_gradient(self, slopes: np.ndarray) -> np.ndarray:
+        """slopes * sum_r a_r W_r 1{active} at the points of the last forward."""
+        np.multiply(self.mask, self.state.init.a0, out=self.act)
+        return slopes[:, None] * (self.act @ self.state.W.T)
+
+    def weight_gradient(self, X, slopes: np.ndarray) -> np.ndarray:
+        """Mean over the last forward's points X of slopes * a_r x 1{active}, d x m."""
+        np.multiply(slopes[:, None], self.state.init.a0, out=self.act)
+        self.act *= self.mask
+        grad = X.T @ self.act
+        grad /= len(X)
+        return grad
+
+
 def forward_real(state: NetworkState, x) -> float | np.ndarray:
     """f(x) = sum_r a_r relu(<W_r, x> + b_r); accepts one point or a batch."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pre = np.atleast_2d(x) @ state.W + state.init.b0
-    out = np.maximum(pre, 0.0) @ state.init.a0
+    X = np.atleast_2d(x)
+    out = _Workspace(state, len(X)).forward(X)
     return float(out[0]) if single else out
 
 
@@ -101,10 +136,8 @@ def grad_loss_real(state: NetworkState, X, y, loss) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if len(X) == 0:
         raise ValueError("empty batch")
-    lp = _loss_slopes(loss, forward_real(state, X), y)
-    mask = (X @ state.W + state.init.b0) >= 0
-    weights = mask * (lp[:, None] * state.init.a0[None, :])
-    return (X.T @ weights) / len(X)
+    ws = _Workspace(state, len(X))
+    return ws.weight_gradient(X, _loss_slopes(loss, ws.forward(X), y))
 
 
 def grad_loss_pseudo(state: NetworkState, X, y, loss) -> np.ndarray:
@@ -114,8 +147,8 @@ def grad_loss_pseudo(state: NetworkState, X, y, loss) -> np.ndarray:
     if len(X) == 0:
         raise ValueError("empty batch")
     init = state.init
-    lp = _loss_slopes(loss, forward_pseudo(state, X), y)
     mask0 = (X @ init.W0 + init.b0) >= 0
+    lp = _loss_slopes(loss, ((X @ (state.W - init.W0)) * mask0) @ init.a0, y)
     weights = mask0 * (lp[:, None] * init.a0[None, :])
     return (X.T @ weights) / len(X)
 
@@ -242,11 +275,13 @@ def anti_concentration_check(m: int, d: int, t_grid, trials: int, seed: int):
     is exactly N(0, 2), so the estimate must match 2*Phi(t/sqrt(2)) - 1 =
     erf(t/2) and stay below the density envelope t/sqrt(pi), both up to 5
     standard errors.  Raises CertificationError on violation and ValueError
-    on a negative threshold.  m is recorded for provenance only; the scaled
-    probe does not depend on it.
+    on a negative threshold or d < 2 (x needs two distinct coordinates).  m
+    is recorded for provenance only; the scaled probe does not depend on it.
     """
     from .polyapprox import CertificationError
 
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials")
     t_grid = [float(t) for t in t_grid]

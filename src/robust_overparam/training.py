@@ -228,11 +228,6 @@ class FitResult:
     r_star: float
     ridge: float
 
-    def delta_w(self, d: int) -> np.ndarray:
-        dw = np.zeros((d, len(self.coeffs)))
-        dw[-1, :] = self.coeffs
-        return dw
-
 
 def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None = None) -> FitResult:
     """Ridge least squares for a pseudo-network matching `target` on `sample`.

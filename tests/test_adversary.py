@@ -93,6 +93,23 @@ class TestProjectToCap:
         out2 = project_to_cap(np.array([0.0, 0.0, 0.0, 0.5]), c, 0.2)
         assert np.allclose(out2, c, atol=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.05, 0.2, 1.0])
+    def test_far_and_antipodal_land_at_distance_rho(self, rho):
+        # one geodesic rotation puts the head at chord rho from the center;
+        # projecting again only renormalizes the head and rotates nothing
+        centers = uniform_domain_sample(50, 7, stream(25, "c"))
+        C = np.vstack([centers, centers])
+        antipodal = centers * np.append(-np.ones(6), 1.0)
+        Z = np.vstack([uniform_domain_sample(50, 7, stream(25, "z")), antipodal])
+        far = np.linalg.norm(Z - C, axis=1) > rho
+        C, Z = C[far], Z[far]
+        out = project_to_cap(Z, C, rho)
+        assert len(out) >= 60
+        assert np.max(np.abs(np.linalg.norm(out - C, axis=1) - rho)) <= 1e-12
+        heads = out[:, :-1]
+        renormed = np.hstack([heads * (R / np.linalg.norm(heads, axis=1, keepdims=True)), out[:, -1:]])
+        assert np.array_equal(project_to_cap(out, C, rho), renormed)
+
     def test_d3_grid_oracle(self):
         # the cap in d=3 is an arc; compare against a dense arc grid
         c = np.array([R, 0.0, 0.5])
@@ -189,7 +206,7 @@ class TestWorstCaseAttack:
 
 def _reference_attack(st, X, y, loss, cfg, tag=0):
     """Multi-restart PGA composed from the public pieces, one call per stage."""
-    step = cfg.resolved_step_size
+    step = cfg.rho / 5.0
     best_x = X.copy()
     best_l = loss.value(forward_real(st, X), y)
 

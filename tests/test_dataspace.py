@@ -156,6 +156,13 @@ class TestCsv:
         with pytest.raises(ValueError):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["", "f0,label\n"], ids=["empty", "header-only"])
+    def test_no_rows_rejected(self, text, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_csv(path)
+
 
 def test_uniform_domain_sample():
     pts = uniform_domain_sample(200, 9, stream(5, "t"))

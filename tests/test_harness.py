@@ -19,6 +19,12 @@ def _read(path):
         return fh.read()
 
 
+def _env_with_src():
+    """os.environ with this checkout's package first on PYTHONPATH, for subprocesses."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestPolyCommand:
     def test_certified_run(self, tmp_path):
         out = tmp_path / "coeffs.json"
@@ -490,11 +496,9 @@ class TestWithoutScipy:
              "--out", "a.csv"],
             ["fit", "--n", "6", "--d", "6", "--m", "256", "--pert-per-point", "2", "--out", "f.json"],
         ]
-        src = os.path.dirname(os.path.dirname(harness.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, 0, 0, 0], proc.stderr
@@ -594,6 +598,57 @@ class TestConfigFile:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and repr(next(iter(cfg_value))) in err["message"]
         assert not out.exists()
+
+
+POLY = ["poly", "--delta", "0.8", "--rho", "0.05", "--eps1", "0.1"]
+SEP_SYNTH = ["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", "0.05"]
+
+
+class TestUsageErrorsNotTracebacks:
+    """Bad input files, bad --config contents and unwritable outputs exit 2 with one JSON line."""
+
+    # case: (argv, {input file: bytes}); every case runs in a directory holding `adir`
+    CASES = {
+        "empty-csv": (["separability", "--input", "e.csv", "--rho", "0.05", "--out", "s.json"], {"e.csv": b""}),
+        "header-only-csv": (
+            ["separability", "--input", "h.csv", "--rho", "0.05", "--out", "s.json"], {"h.csv": b"f0,label\n"}
+        ),
+        "config-number": (POLY + ["--config", "c.json"], {"c.json": b"5"}),
+        "config-null": (POLY + ["--config", "c.json"], {"c.json": b"null"}),
+        "config-list": (POLY + ["--config", "c.json"], {"c.json": b"[1, 2]"}),
+        "config-directory": (POLY + ["--config", "adir"], {}),
+        "config-not-utf8": (POLY + ["--config", "c.json"], {"c.json": b'{"delta": "\xff"}'}),
+        "emit-directory": (POLY + ["--emit", "adir"], {}),
+        "out-directory": (SEP_SYNTH + ["--out", "adir"], {}),
+        "anticonc-d1": (["anticonc", "--d", "1", "--trials", "10000", "--out", "a.csv"], {}),
+    }
+    # this case goes through the console entry point in a fresh interpreter
+    ENTRY_POINT_CASE = "empty-csv"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_two_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
+        argv, files = self.CASES[case]
+        (tmp_path / "adir").mkdir()
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        before = sorted(os.listdir(tmp_path))
+        if case == self.ENTRY_POINT_CASE:
+            proc = subprocess.run(
+                [sys.executable, "-m", "robust_overparam.cli", *argv],
+                cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True, timeout=120,
+            )
+            code, err = proc.returncode, proc.stderr
+        else:
+            monkeypatch.chdir(tmp_path)
+            code, err = run(argv), capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+        if case.startswith("config"):
+            assert "bad --config" in lines[0]
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "adir") == []
 
 
 class TestNonFiniteFloats:

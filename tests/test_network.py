@@ -211,6 +211,38 @@ class TestGradients:
             grad_loss_real(st, np.zeros((0, 5)), np.zeros(0), LOSS)
 
 
+class TestGradientsPinned:
+    """The gradients equal the plain-numpy formula X.T @ (mask * (slopes a0)) / n bit for bit."""
+
+    M, D = 512, 8
+
+    def _setup(self, n, seed):
+        st = perturbed_state(init_network(self.M, self.D, seed), 2.0, seed)
+        X = uniform_domain_sample(n, self.D, stream(seed, "x"))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        return st, X, y
+
+    @pytest.mark.parametrize("loss_tag", ["absolute", "huber"])
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_real(self, n, loss_tag):
+        st, X, y = self._setup(n, 31)
+        loss, init = make_loss(loss_tag), st.init
+        pre = X @ st.W + init.b0
+        preds = np.maximum(pre, 0.0) @ init.a0
+        slopes = loss.slope(preds, y)
+        assert np.array_equal(forward_real(st, X), preds)
+        assert np.array_equal(grad_loss_real(st, X, y, loss), X.T @ ((pre >= 0) * (slopes[:, None] * init.a0)) / n)
+
+    @pytest.mark.parametrize("loss_tag", ["absolute", "huber"])
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_pseudo(self, n, loss_tag):
+        st, X, y = self._setup(n, 32)
+        loss, init = make_loss(loss_tag), st.init
+        mask0 = (X @ init.W0 + init.b0) >= 0
+        slopes = loss.slope(((X @ (st.W - init.W0)) * mask0) @ init.a0, y)
+        assert np.array_equal(grad_loss_pseudo(st, X, y, loss), X.T @ (mask0 * (slopes[:, None] * init.a0)) / n)
+
+
 class TestCoupling:
     def test_gap_at_init_is_forward_magnitude(self):
         st = init_network(256, 6, seed=9)
@@ -373,6 +405,12 @@ class TestAntiConcentration:
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):
             anti_concentration_check(256, 8, [0.1], trials=100, seed=0)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_rejects_fewer_than_two_coordinates(self, d):
+        # at d = 1, x[0] and x[-1] are one coordinate and the probe is not N(0, 2)
+        with pytest.raises(ValueError, match="d >= 2"):
+            anti_concentration_check(256, d, [0.1], trials=10_000, seed=0)
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match=">= 0"):
