@@ -28,8 +28,6 @@ from .network import (
     grad_loss_real,
     gradient_coupling_norm,
     init_network,
-    load_state,
-    save_state,
     weight_norms,
 )
 from .polyapprox import (

@@ -112,33 +112,27 @@ def _project_cap_batch(Z: np.ndarray, centers: np.ndarray, rho: float) -> np.nda
     return out
 
 
-def _cap_draw(x: np.ndarray, rho: float, rng) -> np.ndarray | None:
-    """x plus a uniform draw from the rho-ball, or None for a zero direction."""
-    d = len(x)
-    direction = rng.standard_normal(d)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return None
-    radius = rho * rng.uniform() ** (1.0 / d)
-    return x + (radius / norm) * direction
-
-
 def random_cap_point(x: np.ndarray, rho: float, rng) -> np.ndarray:
     """Projection of a uniform-in-ball perturbation of x onto the cap."""
-    z = _cap_draw(x, rho, rng)
-    return x.copy() if z is None else project_to_cap(z, x, rho)
+    return _random_cap_batch(np.atleast_2d(np.asarray(x, dtype=float)), rho, [rng])[0]
 
 
 def _random_cap_batch(X: np.ndarray, rho: float, rngs) -> np.ndarray:
-    """random_cap_point for each row X[i] with rngs[i], projected in one batch."""
+    """random_cap_point for each row X[i] with rngs[i], projected in one batch.
+
+    A zero direction draw leaves its row at X[i].
+    """
+    d = X.shape[1]
     Z = X.copy()
     undrawn = np.zeros(len(X), dtype=bool)
     for i, rng in enumerate(rngs):
-        z = _cap_draw(X[i], rho, rng)
-        if z is None:
+        direction = rng.standard_normal(d)
+        norm = np.linalg.norm(direction)
+        if norm == 0.0:
             undrawn[i] = True
-        else:
-            Z[i] = z
+            continue
+        radius = rho * rng.uniform() ** (1.0 / d)
+        Z[i] = X[i] + (radius / norm) * direction
     out = _project_cap_batch(Z, X, rho)
     out[undrawn] = X[undrawn]
     return out

@@ -1,11 +1,16 @@
 """Experiment orchestration and the command-line surface.
 
-Every command resolves its full configuration, runs the relevant module
-operations, and writes outputs atomically (temp file + rename) with the tool
-version, resolved config and seed embedded, so reruns with the same flags are
-byte-identical.  Exit codes: 0 success, 1 certification, separability or
-degenerate-fit failure, 2 usage error; failures also emit one
-machine-readable JSON line on stderr.
+Every command resolves its full configuration and runs the relevant module
+operations, then returns its output set: a dict from path to body, where a
+body is a JSON payload (a dict) or a CSV table ((header, rows)).  `run`
+renders every body with the tool version, resolved config and seed embedded,
+so reruns with the same flags are byte-identical, and commits the set as a
+whole through write_outputs: a command that fails changes none of its
+targets.  `fit`'s max_error is in-sample, the largest miss on the fit sample
+itself; with 420 sample points and m >= 1024 features the fit interpolates.
+Exit codes: 0 success, 1 certification, separability or degenerate-fit
+failure, 2 usage error; failures also emit one machine-readable JSON line on
+stderr.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import concurrent.futures
 import contextlib
 import ctypes
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -24,7 +30,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .adversary import AttackConfig, make_adversary, random_cap_point
+from .adversary import AttackConfig, _random_cap_batch, make_adversary
 from .dataspace import (
     Dataset,
     SeparabilityError,
@@ -58,7 +64,7 @@ THREADS_ENV = "ROBUST_OVERPARAM_THREADS"
 
 
 # ---------------------------------------------------------------------------
-# Atomic, reproducible output
+# Reproducible output sets, written all or nothing
 # ---------------------------------------------------------------------------
 
 # parsed attributes that are not configuration: the handler, the --config
@@ -76,30 +82,43 @@ def _meta(args) -> dict:
     return {"version": __version__, "config": config, "seed": getattr(args, "seed", None)}
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+def _render(body, meta: dict) -> str:
+    """One output's text: a JSON payload with meta added, or a CSV table after a `# meta` line."""
+    if isinstance(body, dict):
+        return json.dumps({"meta": meta, **body}, indent=2, sort_keys=True) + "\n"
+    header, rows = body
+    lines = ["# meta " + json.dumps(meta, sort_keys=True), ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_outputs(texts: dict) -> None:
+    """Write every {path: text} of a set, or change none of the paths.
+
+    A set with a target that is an existing directory is refused before
+    anything is made.  Every text then goes to a temp file beside its
+    target, and only when all of them are written are the temps renamed
+    over their targets.  Any temp left behind is removed.
+    """
+    for path in texts:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    temps = {}
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.chmod(tmp, _FILE_MODE)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            prefix = os.path.basename(path) + "."
+            fd, temps[path] = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.chmod(temps[path], _FILE_MODE)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-
-
-def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_csv(path: str, meta: dict, header, rows) -> None:
-    lines = ["# meta " + json.dumps(meta, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        for tmp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _fmt(v) -> str:
@@ -112,12 +131,11 @@ def _fmt(v) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_poly(args) -> int:
+def cmd_poly(args) -> dict:
     spec = StepSpec(rho=args.rho, delta=args.delta, eps1=args.eps1)
     q = step_poly(spec, cert_grid=args.cert_grid)
     cert = q.meta["certification"]
     payload = {
-        "meta": _meta(args),
         "degree": q.degree,
         "basis": "chebyshev",
         "coefficients": [float(c) for c in q.chebyshev_coeffs],
@@ -128,11 +146,9 @@ def cmd_poly(args) -> int:
             "pass": cert["pass"],
         },
     }
-    if args.emit:
-        write_json(args.emit, payload)
-    else:
+    if args.emit is None:
         print(json.dumps({k: payload[k] for k in ("degree", "basis", "certification")}, sort_keys=True))
-    return 0
+    return {args.emit: payload}
 
 
 def _dataset_from_args(args) -> Dataset:
@@ -156,11 +172,10 @@ def _dataset_from_args(args) -> Dataset:
     raise ValueError("provide --input data.csv or --synth n=..,d=..,delta=..")
 
 
-def cmd_separability(args) -> int:
+def cmd_separability(args) -> dict:
     ds = _dataset_from_args(args)
     rep = separability(ds, args.rho)
     payload = {
-        "meta": _meta(args),
         "n": ds.n,
         "d": ds.d,
         "rho": args.rho,
@@ -169,12 +184,9 @@ def cmd_separability(args) -> int:
         "separable": rep.gamma > 0,
         "per_point_delta": [float(v) for v in rep.per_point_delta],
     }
-    write_json(args.out, payload)
-    if args.hist:
-        counts, edges = delta_histogram(rep)
-        rows = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))]
-        write_csv(args.hist, _meta(args), ("bin_lo", "bin_hi", "count"), rows)
-    return 0
+    counts, edges = delta_histogram(rep)
+    rows = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))]
+    return {args.out: payload, args.hist: (("bin_lo", "bin_hi", "count"), rows)}
 
 
 def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: int):
@@ -193,7 +205,7 @@ def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: i
     return gap, flips, ratio
 
 
-def cmd_coupling(args) -> int:
+def cmd_coupling(args) -> dict:
     # widest cells first, so the slowest one starts at once beside the small
     # ones; the sort is stable, so each width keeps its seeds in order
     jobs = sorted(
@@ -212,22 +224,16 @@ def cmd_coupling(args) -> int:
         gaps, flips, ratios = zip(*by_m[m])
         rows.append((m, args.R, statistics.median(gaps), max(gaps), statistics.median(flips)))
         grad_rows.append((m, args.R, statistics.median(ratios)))
-    meta = _meta(args)
-    write_csv(args.out, meta, ("m", "R", "gap_median", "gap_max", "flip_fraction"), rows)
-    if args.grad_out:
-        write_csv(args.grad_out, meta, ("m", "R", "grad_ratio_median"), grad_rows)
-    return 0
+    return {
+        args.out: (("m", "R", "gap_median", "gap_max", "flip_fraction"), rows),
+        args.grad_out: (("m", "R", "grad_ratio_median"), grad_rows),
+    }
 
 
-def cmd_anticonc(args) -> int:
+def cmd_anticonc(args) -> dict:
     rows = anti_concentration_check(args.m, args.d, args.t_grid, args.trials, args.seed)
-    write_csv(
-        args.out,
-        _meta(args),
-        ("t", "estimate", "exact", "stderr", "envelope"),
-        [(r.t, r.estimate, r.exact, r.stderr, r.envelope) for r in rows],
-    )
-    return 0
+    header = ("t", "estimate", "exact", "stderr", "envelope")
+    return {args.out: (header, [(r.t, r.estimate, r.exact, r.stderr, r.envelope) for r in rows])}
 
 
 def build_fit_instance(n, d, delta_min, rho, eps, seed, pert_per_point):
@@ -238,13 +244,9 @@ def build_fit_instance(n, d, delta_min, rho, eps, seed, pert_per_point):
     rep = separability(ds, rho)
     spec = StepSpec(rho=rho, delta=rep.delta, eps1=eps / (3.0 * n))
     target = robust_interpolant(ds, spec)
-    perts = [
-        random_cap_point(ds.X[i], rho, stream(seed, "fit-sample", i, j))
-        for i in range(n)
-        for j in range(pert_per_point)
-    ]
-    sample = np.vstack([ds.X] + perts)
-    return ds, target, sample
+    rngs = [stream(seed, "fit-sample", i, j) for i in range(n) for j in range(pert_per_point)]
+    perts = _random_cap_batch(np.repeat(ds.X, pert_per_point, axis=0), rho, rngs)
+    return ds, target, np.vstack([ds.X, perts])
 
 
 def _run_fit(args, m: int, delta: float, seed: int):
@@ -256,10 +258,9 @@ def _run_fit(args, m: int, delta: float, seed: int):
     return target, sample, fit_pseudo_to_target(state.init, target, sample, ridge=args.ridge)
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     target, sample, fit = _run_fit(args, args.m, args.delta, args.seed)
     payload = {
-        "meta": _meta(args),
         "m": args.m,
         "sample_size": int(len(sample)),
         "target_degree": target.degree,
@@ -268,8 +269,7 @@ def cmd_fit(args) -> int:
         "r_star": fit.r_star,
         "ridge": fit.ridge,
     }
-    write_json(args.out, payload)
-    return 0
+    return {args.out: payload}
 
 
 def _run_train(args, ds, m: int, seed: int):
@@ -289,22 +289,16 @@ def _run_train(args, ds, m: int, seed: int):
     return state, adversarial_train(state, ds, adv, make_loss(args.loss), hp)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     state, result = _run_train(args, _dataset_from_args(args), args.m, args.seed)
-    meta = _meta(args)
-    if args.trace:
-        write_csv(args.trace, meta, result.trace.COLUMNS, list(result.trace.rows()))
     summary = {
-        "meta": meta,
         "best_t": result.best_t,
         "best_robust_loss": result.best_robust_loss,
         "final_drift_2inf": weight_norms(result.final_W, state.init.W0).two_inf,
         "hp": dataclasses.asdict(result.hp),
         "invariant_violations": result.violations,
     }
-    if args.summary:
-        write_json(args.summary, summary)
-    return 0
+    return {args.trace: (result.trace.COLUMNS, list(result.trace.rows())), args.summary: summary}
 
 
 def _sweep_cell_fit(args, m: int, delta: float, seed: int) -> dict:
@@ -321,7 +315,7 @@ def _sweep_cell_train(args, m: int, delta: float, seed: int) -> dict:
     }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     cell_fn = _sweep_cell_fit if args.target == "fit" else _sweep_cell_train
     cells = [(m, delta) for m in args.m_list for delta in (args.delta_list or [args.delta])]
     results = _pool_map(
@@ -333,8 +327,7 @@ def cmd_sweep(args) -> int:
         tuple([m, delta] + [statistics.median(o[k] for o in outs) for k in keys])
         for (m, delta), outs in zip(cells, results)
     ]
-    write_csv(args.out, _meta(args), header, rows)
-    return 0
+    return {args.out: (header, rows)}
 
 
 def _pool_map(fn, items):
@@ -605,10 +598,14 @@ def run(argv=None) -> int:
         # one BLAS thread per command: the pool's workers already fill the
         # cores, and outputs must not depend on the host's BLAS thread count
         with _blas_single_threaded():
-            return args.func(args)
+            outputs = args.func(args)
+        meta = _meta(args)
+        # a None path is an output flag that was not given
+        write_outputs({path: _render(body, meta) for path, body in outputs.items() if path is not None})
     except (CertificationError, SeparabilityError, FitDegenerateError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
     except (ValueError, OSError) as exc:
         _emit_error("usage", str(exc))
         return 2
+    return 0

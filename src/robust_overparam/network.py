@@ -231,34 +231,6 @@ def perturbed_state(state: NetworkState, deviation_scale: float, seed: int) -> N
     return state.with_weights(init.W0 + deviation_scale * init.m ** (-2.0 / 3.0) * dirs)
 
 
-def save_state(state: NetworkState, path: str) -> None:
-    """Serialize a state: m, d, seed, the a0 sign bits, and W explicitly.
-
-    W0 and b0 are reproducible from (m, d, seed), so only the signs of a0 are
-    stored alongside them as a self-check.
-    """
-    init = state.init
-    np.savez(
-        path,
-        m=init.m,
-        d=init.d,
-        seed=init.seed,
-        a0_signs=(init.a0 > 0).astype(np.uint8),
-        W=state.W,
-    )
-
-
-def load_state(path: str) -> NetworkState:
-    with np.load(path) as data:
-        m, d, seed = int(data["m"]), int(data["d"]), int(data["seed"])
-        signs = data["a0_signs"].astype(bool)
-        W = np.array(data["W"], dtype=float)
-    state = init_network(m, d, seed)
-    if not np.array_equal(state.init.a0 > 0, signs):
-        raise ValueError("stored sign bits disagree with the seeded initialization")
-    return state.with_weights(W)
-
-
 @dataclass(frozen=True)
 class AntiConcentrationRow:
     t: float

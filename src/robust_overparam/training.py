@@ -17,9 +17,10 @@ from .dataspace import Dataset
 from .network import (
     InitSnapshot,
     NetworkState,
+    _loss_slopes,
+    _Workspace,
     coupling_scan,
     forward_real,
-    grad_loss_real,
     weight_norms,
 )
 
@@ -179,9 +180,14 @@ def adversarial_train(
     for t in range(hp.T):
         cur = NetworkState(init, W)
         Xt = adversary.perturb(cur, dataset.X, dataset.y, loss, tag=t)
-        rob = float(np.mean(loss.value(forward_real(cur, Xt), dataset.y)))
         std = standard_loss(cur, dataset, loss)
-        grad = grad_loss_real(cur, Xt, dataset.y, loss)
+        # one forward of the attacked batch gives the robust loss and the step;
+        # its buffers are freed before the coupling scan and the next attack allocate theirs
+        ws = _Workspace(cur, len(Xt))
+        preds = ws.forward(Xt)
+        rob = float(np.mean(loss.value(preds, dataset.y)))
+        grad = ws.weight_gradient(Xt, _loss_slopes(loss, preds, dataset.y))
+        del ws
         norms = weight_norms(W, init.W0)
         grad_cols = np.linalg.norm(grad, axis=0)
         gap = coupling_scan(cur, Xt)[0]

@@ -6,11 +6,10 @@ import stat
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from robust_overparam import harness
-from robust_overparam.harness import atomic_write_text, build_parser, run
+from robust_overparam.harness import build_parser, run, write_outputs
 from robust_overparam.polyapprox import CertificationError
 
 
@@ -436,7 +435,7 @@ class TestBlasPin:
         def handler(args):
             seen.append(self._counts())
             seen.extend(harness._pool_map(lambda _: self._counts(), range(4)))
-            return 0
+            return {}
 
         assert self._run_with(monkeypatch, handler) == 0
         assert seen == [[1] * len(before)] * 5
@@ -474,7 +473,7 @@ class TestBlasPin:
 
         def handler(args):
             assert harness._pool_map(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
-            return 0
+            return {}
 
         assert self._run_with(monkeypatch, handler) == 0
 
@@ -503,20 +502,6 @@ class TestWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, 0, 0, 0], proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "f.json", "p.json", "s.json"]
-
-
-class TestSnapshotRoundtrip:
-    def test_save_load(self, tmp_path):
-        from robust_overparam.network import init_network, load_state, save_state
-
-        st = init_network(64, 5, seed=77)
-        W = st.W + 0.01
-        path = tmp_path / "state.npz"
-        save_state(st.with_weights(W), str(path))
-        back = load_state(str(path))
-        assert back.init.m == 64 and back.init.d == 5 and back.init.seed == 77
-        assert np.array_equal(back.W, W)
-        assert np.array_equal(back.init.W0, st.init.W0)
 
 
 # small runs whose config keys the --config tests vary
@@ -605,9 +590,14 @@ SEP_SYNTH = ["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", "0.05"]
 
 
 class TestUsageErrorsNotTracebacks:
-    """Bad input files, bad --config contents and unwritable outputs exit 2 with one JSON line."""
+    """Bad input files, bad --config contents and unwritable outputs exit 2 with one JSON line.
 
-    # case: (argv, {input file: bytes}); every case runs in a directory holding `adir`
+    A command whose later output is a directory writes none of its outputs
+    and makes no parent directory, and a file that was there keeps its bytes.
+    """
+
+    # case: (argv, {file made before the run: bytes}); every case runs in a
+    # directory holding `adir`
     CASES = {
         "empty-csv": (["separability", "--input", "e.csv", "--rho", "0.05", "--out", "s.json"], {"e.csv": b""}),
         "header-only-csv": (
@@ -620,6 +610,14 @@ class TestUsageErrorsNotTracebacks:
         "config-not-utf8": (POLY + ["--config", "c.json"], {"c.json": b'{"delta": "\xff"}'}),
         "emit-directory": (POLY + ["--emit", "adir"], {}),
         "out-directory": (SEP_SYNTH + ["--out", "adir"], {}),
+        "hist-directory": (SEP_SYNTH + ["--out", "s.json", "--hist", "adir"], {"s.json": b"old\n"}),
+        "summary-directory": (
+            SMALL_TRAIN + ["--m", "64", "--R", "1", "--attack-steps", "2", "--trace", "t.csv", "--summary", "adir"],
+            {},
+        ),
+        "grad-out-directory": (
+            SMALL_COUPLING + ["--m-list", "64", "--seeds", "1", "--out", "sub/z.csv", "--grad-out", "adir"], {}
+        ),
         "anticonc-d1": (["anticonc", "--d", "1", "--trials", "10000", "--out", "a.csv"], {}),
     }
     # this case goes through the console entry point in a fresh interpreter
@@ -649,6 +647,8 @@ class TestUsageErrorsNotTracebacks:
             assert "bad --config" in lines[0]
         assert sorted(os.listdir(tmp_path)) == before
         assert os.listdir(tmp_path / "adir") == []
+        for name, data in files.items():
+            assert (tmp_path / name).read_bytes() == data
 
 
 class TestNonFiniteFloats:
@@ -737,7 +737,7 @@ class TestAtomicWrite:
         target = tmp_path / "out.txt"
         target.write_text("old\n")
         with pytest.raises(UnicodeEncodeError):
-            atomic_write_text(str(target), "new\ud800")  # a lone surrogate cannot be encoded
+            write_outputs({str(target): "new\ud800"})  # a lone surrogate cannot be encoded
         assert _read(target) == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -745,5 +745,5 @@ class TestAtomicWrite:
         plain, atomic = tmp_path / "plain.txt", tmp_path / "atomic.txt"
         with open(plain, "w") as fh:
             fh.write("x")
-        atomic_write_text(str(atomic), "x")
+        write_outputs({str(atomic): "x"})
         assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
