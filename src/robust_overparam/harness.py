@@ -290,6 +290,8 @@ def _run_train(args, ds, m: int, seed: int):
 
 
 def cmd_train(args) -> dict:
+    if args.trace is None and args.summary is None:
+        raise ValueError("train needs --trace or --summary")
     state, result = _run_train(args, _dataset_from_args(args), args.m, args.seed)
     summary = {
         "best_t": result.best_t,

@@ -113,6 +113,32 @@ class Polynomial:
         return [abs(c) for c in self.exact_monomial]
 
 
+def _certified(degree: int, evaluate: Callable, expand: Callable[[], Dyadic], plateaus, tol: float,
+               grid: int, meta: dict) -> Polynomial:
+    """Grid-certify `evaluate`, then build the Polynomial carrying the certificate.
+
+    plateaus lists (lo, hi, target); the error on a plateau is the max of
+    |evaluate - target| at `grid` evenly spaced points of [lo, hi].  Any error
+    above tol raises CertificationError; otherwise meta gains "certification".
+    """
+    errors = [
+        float(np.max(np.abs(evaluate(np.linspace(lo, hi, grid)) - target))) for lo, hi, target in plateaus
+    ]
+    if max(errors) > tol:
+        raise CertificationError(
+            f"{meta['kind']} missed its tolerance {tol:.3e}: plateau errors "
+            + ", ".join(f"{err:.3e}" for err in errors)
+        )
+    meta["certification"] = {
+        "intervals": [[lo, hi] for lo, hi, _ in plateaus],
+        "errors": errors,
+        "max_error": max(errors),
+        "tolerance": tol,
+        "pass": True,
+    }
+    return Polynomial(degree, evaluate, expand, chebyshev_nodes_series(evaluate, degree), meta)
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev polynomials of the first kind
 # ---------------------------------------------------------------------------
@@ -292,21 +318,16 @@ def compressed_power(s: int, d_cap: float) -> Polynomial:
 # Compressed sign approximant
 # ---------------------------------------------------------------------------
 
-def _sign_series_params(eta_gap: float, eps1: float):
+def _sign_series(eta_gap: float, eps1: float):
+    """Float coefficients B_v of p~(z) = z * sum_v B_v T_v(1 - z^2)."""
     k = sign_gap_terms(eta_gap, eps1)
     d_walk = math.sqrt(2.0 * k * math.log(4.0 * k / eps1))
     budget = math.ceil((3.0 / eta_gap) * math.log(2.0 / (eta_gap * eps1)))
     # The walk cap bounds the Chebyshev index in w = 1 - z^2, so the z-degree
     # of the assembled series is 2*cap + 1.  Capping additionally by the
     # advertised degree budget keeps the construction inside its own degree
-    # bound; the grid certificate below is the correctness gate.
+    # bound; the grid certificate is the correctness gate.
     cap = min(int(math.floor(d_walk)), (budget - 1) // 2, k)
-    return k, d_walk, cap, budget
-
-
-def _sign_series(eta_gap: float, eps1: float):
-    """Float coefficients B_v of p~(z) = z * sum_v B_v T_v(1 - z^2)."""
-    k, d_walk, cap, budget = _sign_series_params(eta_gap, eps1)
     i = np.arange(k + 1)[:, None]
     v = np.arange(cap + 1)[None, :]
     valid = (v <= i) & ((i - v) % 2 == 0)
@@ -373,48 +394,26 @@ def compressed_sign_poly(eta_gap: float, eps1: float) -> Polynomial:
     """
     _check_unit_interval(eta_gap=eta_gap, eps1=eps1)
     series, k, d_walk, cap, budget = _sign_series(eta_gap, eps1)
-    degree = 2 * cap + 1
 
     def evaluate(z):
         z = np.asarray(z, dtype=float)
         return z * clenshaw(series, 1.0 - z * z)
 
-    grid = np.linspace(eta_gap, 1.0, CERT_GRID)
-    err = max(
-        float(np.max(np.abs(evaluate(grid) - 1.0))),
-        float(np.max(np.abs(evaluate(-grid) + 1.0))),
-    )
-    if err > eps1:
-        raise CertificationError(
-            f"compressed sign approximant missed its tolerance: "
-            f"max grid error {err:.3e} > eps1 {eps1:.3e}"
-        )
-
     def expand() -> Dyadic:
         return _expand_w_cheb_series(_sign_series_exact(k, cap))
 
-    return Polynomial(
-        degree=degree,
-        chebyshev_coeffs=chebyshev_nodes_series(evaluate, degree),
-        evaluator=evaluate,
-        exact_expander=expand,
-        meta={
-            "kind": "compressed_sign_poly",
-            "eta_gap": eta_gap,
-            "eps1": eps1,
-            "k": k,
-            "walk_cap": d_walk,
-            "index_cap": cap,
-            "degree_budget": budget,
-            "coeff_bound_log2": 4.0 * d_walk,
-            "certification": {
-                "intervals": [[-1.0, -eta_gap], [eta_gap, 1.0]],
-                "max_error": err,
-                "tolerance": eps1,
-                "pass": True,
-            },
-        },
-    )
+    meta = {
+        "kind": "compressed_sign_poly",
+        "eta_gap": eta_gap,
+        "eps1": eps1,
+        "k": k,
+        "walk_cap": d_walk,
+        "index_cap": cap,
+        "degree_budget": budget,
+        "coeff_bound_log2": 4.0 * d_walk,
+    }
+    plateaus = [(-1.0, -eta_gap, -1.0), (eta_gap, 1.0, 1.0)]
+    return _certified(2 * cap + 1, evaluate, expand, plateaus, eps1, CERT_GRID, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +475,6 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
         z = np.asarray(z, dtype=float)
         return (ptil((z - alpha) * 0.5) + 1.0) * 0.5
 
-    hi_lo = 1.0 - spec.rho**2 / 2.0
-    far_hi = 1.0 - (spec.delta - spec.rho) ** 2 / 2.0
-    g1 = np.linspace(hi_lo, 1.0, cert_grid)
-    g2 = np.linspace(-1.0, far_hi, cert_grid)
-    err_one = float(np.max(np.abs(evaluate(g1) - 1.0)))
-    err_zero = float(np.max(np.abs(evaluate(g2))))
-    if max(err_one, err_zero) > spec.eps1:
-        raise CertificationError(
-            f"step polynomial missed its tolerance: near-one error {err_one:.3e}, "
-            f"far-zero error {err_zero:.3e}, eps1 {spec.eps1:.3e}"
-        )
-
     sign_expand = ptil._exact_expander
 
     def expand() -> Dyadic:
@@ -495,28 +482,18 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
         nums[0] += 1 << e
         return nums, e + 1
 
-    return Polynomial(
-        degree=ptil.degree,
-        chebyshev_coeffs=chebyshev_nodes_series(evaluate, ptil.degree),
-        evaluator=evaluate,
-        exact_expander=expand,
-        meta={
-            "kind": "step_poly",
-            "rho": spec.rho,
-            "delta": spec.delta,
-            "eps1": spec.eps1,
-            "eta_gap": spec.eta_gap,
-            "alpha_shift": alpha,
-            "sign_meta": {k: v for k, v in ptil.meta.items() if k != "certification"},
-            "certification": {
-                "intervals": [[hi_lo, 1.0], [-1.0, far_hi]],
-                "max_error": max(err_one, err_zero),
-                "errors": {"near_one": err_one, "far_zero": err_zero},
-                "tolerance": spec.eps1,
-                "pass": True,
-            },
-        },
-    )
+    meta = {
+        "kind": "step_poly",
+        "rho": spec.rho,
+        "delta": spec.delta,
+        "eps1": spec.eps1,
+        "eta_gap": spec.eta_gap,
+        "alpha_shift": alpha,
+        "sign_meta": {k: v for k, v in ptil.meta.items() if k != "certification"},
+    }
+    near_one = (1.0 - spec.rho**2 / 2.0, 1.0, 1.0)
+    far_zero = (-1.0, 1.0 - (spec.delta - spec.rho) ** 2 / 2.0, 0.0)
+    return _certified(ptil.degree, evaluate, expand, [near_one, far_zero], spec.eps1, cert_grid, meta)
 
 
 def _affine_substitute_exact(poly: Dyadic, alpha: float) -> Dyadic:

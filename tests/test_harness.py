@@ -109,13 +109,16 @@ class TestTrainCommand:
         data.write_text("f0,f1,label\n0.6,0.8,1\n0.6,0.8,-1\n")
         code = run([
             "train", "--data", str(data), "--rho", "0.05", "--m", "64",
-            "--eps", "0.5", "--R", "1",
+            "--eps", "0.5", "--R", "1", "--summary", str(tmp_path / "s.json"),
         ])
         assert code == 1
         assert "SeparabilityError" in capsys.readouterr().err
 
-    def test_synth_missing_key_is_usage_error(self, capsys):
-        code = run(["train", "--synth", "n=20,d=10", "--rho", "0.05", "--m", "64", "--eps", "0.5"])
+    def test_synth_missing_key_is_usage_error(self, tmp_path, capsys):
+        code = run([
+            "train", "--synth", "n=20,d=10", "--rho", "0.05", "--m", "64", "--eps", "0.5",
+            "--summary", str(tmp_path / "s.json"),
+        ])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and "delta" in err["message"]
@@ -615,6 +618,7 @@ class TestUsageErrorsNotTracebacks:
             SMALL_TRAIN + ["--m", "64", "--R", "1", "--attack-steps", "2", "--trace", "t.csv", "--summary", "adir"],
             {},
         ),
+        "train-no-output": (SMALL_TRAIN + ["--m", "64", "--R", "1", "--attack-steps", "2"], {}),
         "grad-out-directory": (
             SMALL_COUPLING + ["--m-list", "64", "--seeds", "1", "--out", "sub/z.csv", "--grad-out", "adir"], {}
         ),

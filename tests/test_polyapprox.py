@@ -242,6 +242,40 @@ class TestStepPoly:
         assert np.max(np.abs(polyapprox.clenshaw(q.chebyshev_coeffs, GRID) - q(GRID))) <= 1e-8
 
 
+class TestCertified:
+    """The one grid certifier behind compressed_sign_poly and step_poly."""
+
+    @staticmethod
+    def _identity(plateaus, tol=0.1):
+        return polyapprox._certified(
+            1, lambda z: np.asarray(z, dtype=float), lambda: ([0, 1], 0), plateaus, tol, 50, {"kind": "identity"}
+        )
+
+    def test_missed_plateau_raises_naming_kind(self):
+        # z is within 0.05 of 0.5 on [0.45, 0.55] but 0.5 away from 1 at z = 0.5
+        with pytest.raises(CertificationError, match="identity") as exc:
+            self._identity([(0.45, 0.55, 0.5), (0.5, 1.0, 1.0)])
+        assert "5.000e-01" in str(exc.value)
+
+    def test_passing_plateaus_build_the_polynomial(self):
+        p = self._identity([(0.45, 0.55, 0.5), (-1.0, -0.95, -1.0)])
+        cert = p.meta["certification"]
+        assert cert["intervals"] == [[0.45, 0.55], [-1.0, -0.95]]
+        assert cert["errors"] == pytest.approx([0.05, 0.05])
+        assert cert["pass"] and cert["tolerance"] == 0.1
+        assert p.exact_monomial == [0, 1] and p.chebyshev_coeffs == pytest.approx([0.0, 1.0])
+
+    def test_step_certificate(self):
+        spec = StepSpec(0.05, 0.8, 0.01)
+        cert = step_poly(spec).meta["certification"]
+        assert cert["intervals"] == [
+            [1.0 - spec.rho**2 / 2.0, 1.0], [-1.0, 1.0 - (spec.delta - spec.rho) ** 2 / 2.0]
+        ]
+        assert len(cert["errors"]) == len(cert["intervals"])
+        assert cert["max_error"] == max(cert["errors"]) <= cert["tolerance"] == spec.eps1
+        assert cert["pass"] is True
+
+
 def _assert_exact_matches_grid(p: Polynomial, tol: float, stride: int = 1):
     """Exact Horner at the rational points of GRID against the evaluator there."""
     vals = p(GRID)
