@@ -1,13 +1,14 @@
 """rho-bounded adversaries on the sphere-cap domain.
 
 The feasible set for a perturbation of x is B_2(x, rho) intersected with the
-domain X.  Adversaries come from make_adversary(name, cfg) and perturb a
-batch with .perturb(state, X, y, loss, tag).  The "worst" adversary
-(attack_batch) approximates the worst case by multi-restart projected
-gradient ascent; the "random" and "identity" baselines are rho-bounded by
-construction.  Per-example randomness is keyed by (seed, tag, example index,
-restart) so attacks are reproducible under any scheduling and larger restart
-counts extend, not reshuffle, smaller ones.
+domain X.  An adversary is one type, Adversary(name, cfg), made by
+make_adversary(name, cfg), that perturbs a batch with .perturb(state, X, y,
+loss, tag).  The "worst" adversary (attack_batch) approximates the worst
+case by multi-restart projected gradient ascent; the "random" and
+"identity" baselines are rho-bounded by construction.  Per-example
+randomness is keyed by (seed, tag, example index, restart) so attacks are
+reproducible under any scheduling and larger restart counts extend, not
+reshuffle, smaller ones.
 
 Each PGA iterate is evaluated once: one network._Workspace forward gives the
 outputs and the activation mask, from which the loss, its slope and the
@@ -27,6 +28,7 @@ from .network import NetworkState, _loss_slopes, _Workspace
 from .rng import stream
 
 _PROJECT_TOL = 1e-9
+ADVERSARIES = ("worst", "random", "identity")
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.restarts < 1:
@@ -179,47 +181,32 @@ def _consider(cur, losses, best_x, best_l):
         best_x[upd] = cur[upd]
 
 
-class WorstCaseAdversary:
-    """rho-bounded PGA adversary for the training loop."""
+@dataclass(frozen=True)
+class Adversary:
+    """A rho-bounded adversary for the training loop, named worst, random or identity.
 
-    name = "worst"
+    "worst" is attack_batch; "random" draws one random_cap_point per example
+    from its (seed, "attack-rand", tag, i) stream; "identity" returns a copy
+    of the batch.
+    """
 
-    def __init__(self, cfg: AttackConfig):
-        self.cfg = cfg
-        self.rho = cfg.rho
+    name: str
+    cfg: AttackConfig
 
-    def perturb(self, state, X, y, loss, tag: int = 0) -> np.ndarray:
-        return attack_batch(state, X, y, loss, self.cfg, tag=tag)
-
-
-class RandomAdversary:
-    name = "random"
-
-    def __init__(self, cfg: AttackConfig):
-        self.cfg = cfg
-        self.rho = cfg.rho
+    def __post_init__(self):
+        if self.name not in ADVERSARIES:
+            raise ValueError(f"unknown adversary {self.name!r}; expected worst, random or identity")
 
     def perturb(self, state, X, y, loss, tag: int = 0) -> np.ndarray:
+        if self.name == "worst":
+            return attack_batch(state, X, y, loss, self.cfg, tag=tag)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         validate_domain(X)
+        if self.name == "identity":
+            return X.copy()
         rngs = [stream(self.cfg.seed, "attack-rand", tag, i) for i in range(len(X))]
         return _random_cap_batch(X, self.cfg.rho, rngs)
 
 
-class IdentityAdversary:
-    name = "identity"
-    rho = 0.0
-
-    def perturb(self, state, X, y, loss, tag: int = 0) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        validate_domain(X)
-        return X.copy()
-
-
-def make_adversary(name: str, cfg: AttackConfig):
-    table = {"worst": WorstCaseAdversary, "random": RandomAdversary}
-    if name == "identity":
-        return IdentityAdversary()
-    if name not in table:
-        raise ValueError(f"unknown adversary {name!r}; expected worst, random or identity")
-    return table[name](cfg)
+def make_adversary(name: str, cfg: AttackConfig) -> Adversary:
+    return Adversary(name, cfg)

@@ -30,7 +30,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .adversary import AttackConfig, _random_cap_batch, make_adversary
+from .adversary import ADVERSARIES, AttackConfig, _random_cap_batch, make_adversary
 from .dataspace import (
     Dataset,
     SeparabilityError,
@@ -446,7 +446,7 @@ def _train_flags(parser) -> None:
     parser.add_argument("--R", type=finite_float, default=2.0)
     parser.add_argument("--c-T", dest="c_T", type=finite_float, default=1.0)
     parser.add_argument("--c-eta", dest="c_eta", type=finite_float, default=1.0)
-    parser.add_argument("--attack", choices=("worst", "random", "identity"), default="worst")
+    parser.add_argument("--attack", choices=ADVERSARIES, default="worst")
     parser.add_argument("--attack-steps", type=int, default=20)
     parser.add_argument("--attack-restarts", type=int, default=3)
     parser.add_argument("--loss", choices=("absolute", "huber"), default="absolute")

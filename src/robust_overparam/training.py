@@ -130,16 +130,12 @@ class TrainingTrace:
 
     COLUMNS = ("t", "robust_loss", "standard_loss", "drift_2inf", "grad_21", "coupling_sample")
 
+    def append(self, row) -> None:
+        for column, value in zip(self.COLUMNS, row):
+            getattr(self, column).append(value)
+
     def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i],
-                self.robust_loss[i],
-                self.standard_loss[i],
-                self.drift_2inf[i],
-                self.grad_21[i],
-                self.coupling_sample[i],
-            )
+        return zip(*(getattr(self, c) for c in self.COLUMNS))
 
 
 @dataclass
@@ -147,7 +143,6 @@ class TrainingResult:
     trace: TrainingTrace
     best_t: int
     best_robust_loss: float
-    best_W: np.ndarray
     final_W: np.ndarray
     hp: HyperParams
     violations: list[str]
@@ -160,14 +155,15 @@ def adversarial_train(
     loss,
     hp: HyperParams,
 ) -> TrainingResult:
-    """Run the adversarial training loop and return the trace and best iterate.
+    """Run the adversarial training loop; return the trace, the final weights
+    and the iteration with the lowest robust loss.
 
     Every iteration regenerates adversarial examples against the current
-    weights, records the robust loss of the current iterate on them, and
-    takes one full-batch gradient step that treats the attacked points as
-    constants.  Drift and per-unit gradient-size invariants are checked
-    inline; violations are recorded, not raised, so a broken run is still
-    inspectable.
+    weights, records the current iterate's standard loss and its robust loss
+    on them, and takes one full-batch gradient step that treats the attacked
+    points as constants.  Drift and per-unit gradient-size invariants are
+    checked inline; violations are recorded, not raised, so a broken run is
+    still inspectable.
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
@@ -176,44 +172,38 @@ def adversarial_train(
     W = state.W.copy()
     trace = TrainingTrace()
     violations: list[str] = []
-    best_t, best_loss, best_W = -1, math.inf, W.copy()
+    best_t, best_loss = -1, math.inf
     for t in range(hp.T):
         cur = NetworkState(init, W)
         Xt = adversary.perturb(cur, dataset.X, dataset.y, loss, tag=t)
-        std = standard_loss(cur, dataset, loss)
-        # one forward of the attacked batch gives the robust loss and the step;
-        # its buffers are freed before the coupling scan and the next attack allocate theirs
-        ws = _Workspace(cur, len(Xt))
+
+        # one workspace evaluates the clean batch, then the attacked batch for
+        # the robust loss and the step; its buffers are freed before the
+        # coupling scan and the next attack allocate theirs
+        ws = _Workspace(cur, dataset.n)
+        std = float(np.mean(loss.value(ws.forward(dataset.X), dataset.y)))
         preds = ws.forward(Xt)
         rob = float(np.mean(loss.value(preds, dataset.y)))
         grad = ws.weight_gradient(Xt, _loss_slopes(loss, preds, dataset.y))
         del ws
+
         norms = weight_norms(W, init.W0)
         grad_cols = np.linalg.norm(grad, axis=0)
         gap = coupling_scan(cur, Xt)[0]
-
         # written as `not x <= bound` so that a NaN counts as a violation
         drift_bound = hp.eta * t * m_third + DRIFT_SLACK
         if not norms.two_inf <= drift_bound:
             violations.append(f"t={t}: drift {norms.two_inf:.3e} > bound {drift_bound:.3e}")
         if not float(grad_cols.max()) <= m_third + GRAD_SLACK:
             violations.append(f"t={t}: gradient column {grad_cols.max():.3e} > {m_third:.3e}")
-
-        trace.t.append(t)
-        trace.robust_loss.append(rob)
-        trace.standard_loss.append(std)
-        trace.drift_2inf.append(norms.two_inf)
-        trace.grad_21.append(float(grad_cols.sum()))
-        trace.coupling_sample.append(gap)
+        trace.append((t, rob, std, norms.two_inf, float(grad_cols.sum()), gap))
         if rob < best_loss:
-            best_t, best_loss, best_W = t, rob, W.copy()
-
+            best_t, best_loss = t, rob
         W = W - hp.eta * grad
     return TrainingResult(
         trace=trace,
         best_t=best_t,
         best_robust_loss=best_loss,
-        best_W=best_W,
         final_W=W,
         hp=hp,
         violations=violations,

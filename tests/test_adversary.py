@@ -311,14 +311,16 @@ class TestBaselines:
 
     def test_make_adversary(self):
         cfg = AttackConfig(rho=0.1)
-        assert make_adversary("worst", cfg).name == "worst"
-        assert make_adversary("random", cfg).name == "random"
-        assert make_adversary("identity", cfg).name == "identity"
+        for name in ("worst", "random", "identity"):
+            adv = make_adversary(name, cfg)
+            assert adv.name == name
+            assert adv.cfg is cfg
         with pytest.raises(ValueError):
             make_adversary("nope", cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AttackConfig(rho=-1.0)
+        for rho in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                AttackConfig(rho=rho)
         with pytest.raises(ValueError):
             AttackConfig(rho=0.1, restarts=0)

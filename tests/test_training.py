@@ -186,6 +186,18 @@ class TestAdversarialTrain:
         assert len(res.trace.coupling_sample) == 2
         assert res.trace.coupling_sample[0] >= 0.0
 
+    def test_identity_trace_losses_are_standard_losses(self):
+        # with no attack the robust loss is the standard loss, and each row's
+        # standard loss is standard_loss at that row's pre-update weights
+        st, ds, loss, _ = self._setup()
+        identity = make_adversary("identity", AttackConfig(rho=0.05))
+        hp = HyperParams(T=4, eta=0.05, R=1.0, eps=0.5)
+        res = adversarial_train(st, ds, identity, loss, hp)
+        assert res.trace.robust_loss == res.trace.standard_loss
+        assert res.trace.standard_loss[0] == standard_loss(st, ds, loss)
+        one = adversarial_train(st, ds, identity, loss, HyperParams(T=1, eta=0.05, R=1.0, eps=0.5))
+        assert res.trace.standard_loss[1] == standard_loss(st.with_weights(one.final_W), ds, loss)
+        assert res.trace.standard_loss[1] != res.trace.standard_loss[0]
 
     def test_nan_step_size_is_a_violation(self):
         # a NaN drift or gradient norm fails `x <= bound`, so it is recorded
