@@ -19,6 +19,7 @@ and refilled in place by every iterate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ class AttackConfig:
     def __post_init__(self):
         if not 0 < self.rho < math.inf:
             raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 0):
+            raise ValueError(f"steps must be an integer >= 0, got {self.steps!r}")
+        if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
+            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
 
 
 def input_gradient(state: NetworkState, x, y, loss) -> np.ndarray:

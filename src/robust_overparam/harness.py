@@ -194,7 +194,7 @@ def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: i
     state = init_network(m, d, seed)
     pert = perturbed_state(state, R, seed)
     sample = uniform_domain_sample(samples, d, stream(seed, "coupling-sample"))
-    gap, flipped = coupling_scan(pert, sample)
+    gap, flipped = coupling_scan(pert, sample, map=_pool_map)
     flips = float(flipped.sum()) / m
     ds = synth_separated(batch_n, d, delta_min=0.8, seed=seed)
     loss = make_loss("absolute")
@@ -206,22 +206,13 @@ def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: i
 
 
 def cmd_coupling(args) -> dict:
-    # widest cells first, so the slowest one starts at once beside the small
-    # ones; the sort is stable, so each width keeps its seeds in order
-    jobs = sorted(
-        ((m, args.seed + r) for m in args.m_list for r in range(args.seeds)),
-        key=lambda job: -job[0],
-    )
-    results = _pool_map(
-        lambda job: _coupling_cell(job[0], args.d, args.R, args.samples, args.batch_n, job[1]), jobs
-    )
-    by_m: dict[int, list] = {m: [] for m in args.m_list}
-    for (m, _), res in zip(jobs, results):
-        by_m[m].append(res)
     rows = []
     grad_rows = []
+    seeds = range(args.seed, args.seed + args.seeds)
+    # the cells run in turn, and each spreads its row blocks over the pool
     for m in args.m_list:
-        gaps, flips, ratios = zip(*by_m[m])
+        cells = [_coupling_cell(m, args.d, args.R, args.samples, args.batch_n, s) for s in seeds]
+        gaps, flips, ratios = zip(*cells)
         rows.append((m, args.R, statistics.median(gaps), max(gaps), statistics.median(flips)))
         grad_rows.append((m, args.R, statistics.median(ratios)))
     return {
@@ -333,7 +324,10 @@ def cmd_sweep(args) -> dict:
 
 
 def _pool_map(fn, items):
-    """[fn(item) for item in items], on THREADS_ENV (default min(4, cores)) worker threads."""
+    """[fn(item) for item in items], on THREADS_ENV (default min(4, cores)) worker threads.
+
+    fn must not call _pool_map: a worker that waits on its own pool can deadlock it.
+    """
     text = os.environ.get(THREADS_ENV)
     if text and not (text.isdecimal() and int(text) >= 1):
         raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {text!r}")

@@ -153,7 +153,35 @@ def grad_loss_pseudo(state: NetworkState, X, y, loss) -> np.ndarray:
     return (X.T @ weights) / len(X)
 
 
-def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
+def _scan_block(init: InitSnapshot, dW: np.ndarray, X: np.ndarray, cols: int):
+    """One row block's (max |f - g|, flip mask), in tiles of cols units.
+
+    The block owns its four tile workspaces, so blocks can run on any
+    thread; its f - g is the sum of its tiles' matvecs, in column order.
+    """
+    diff = np.zeros(len(X))
+    flipped = np.empty(init.m, dtype=bool)
+    bufs = [np.empty(len(X) * cols, dtype=t) for t in (float, float, bool, bool)]
+    for c0 in range(0, init.m, cols):
+        c = slice(c0, c0 + cols)
+        shape = (len(X), min(cols, init.m - c0))
+        pre, shift, on0, on = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        np.matmul(X, init.W0[:, c], out=pre)
+        pre += init.b0[c]
+        np.greater_equal(pre, 0.0, out=on0)
+        np.matmul(X, dW[:, c], out=shift)
+        pre += shift
+        np.greater_equal(pre, 0.0, out=on)
+        np.not_equal(on, on0, out=on)
+        on.any(axis=0, out=flipped[c])
+        np.maximum(pre, 0.0, out=pre)
+        shift *= on0
+        pre -= shift
+        diff += pre @ init.a0[c]
+    return np.max(np.abs(diff)), flipped
+
+
+def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarray]:
     """Network-vs-pseudo-network comparison over the sample, in one pass.
 
     Returns the gap max |f_W(x) - g_W(x)| over the sample (a lower bound on
@@ -164,43 +192,20 @@ def coupling_scan(state: NetworkState, sample) -> tuple[float, np.ndarray]:
         f - g = (relu(p0 + s) - s * 1{p0 >= 0}) @ a0,
         flip  = 1{p0 + s >= 0} != 1{p0 >= 0}.
 
-    Rows are scanned in blocks of _CHUNK, and each block walks the units in
-    tiles of _TILE // rows columns, so every elementwise pass stays in cache.
-    The tile workspaces are allocated once per call and refilled in place; a
-    block's f - g is the sum of its tiles' matvecs, taken in column order.
+    Rows are scanned in blocks of _CHUNK by _scan_block, each in tiles of
+    _TILE // min(_CHUNK, len(sample)) columns that stay in cache.  map runs
+    the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
+    combine by a NaN-propagating max and masks by an OR: no bit depends on map.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise ValueError("empty sample")
     init = state.init
     dW = state.W - init.W0
-    gap = 0.0
-    flipped = np.zeros(init.m, dtype=bool)
-    rows = min(_CHUNK, len(sample))
-    cols = max(1, _TILE // rows)
-    bufs = [np.empty(rows * cols), np.empty(rows * cols)]
-    bufs += [np.empty(rows * cols, dtype=bool), np.empty(rows * cols, dtype=bool)]
-    for lo in range(0, len(sample), _CHUNK):
-        X = sample[lo : lo + _CHUNK]
-        diff = np.zeros(len(X))
-        for c0 in range(0, init.m, cols):
-            c = slice(c0, c0 + cols)
-            shape = (len(X), min(cols, init.m - c0))
-            pre, shift, on0, on = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
-            np.matmul(X, init.W0[:, c], out=pre)
-            pre += init.b0[c]
-            np.greater_equal(pre, 0.0, out=on0)
-            np.matmul(X, dW[:, c], out=shift)
-            pre += shift
-            np.greater_equal(pre, 0.0, out=on)
-            np.not_equal(on, on0, out=on)
-            flipped[c] |= on.any(axis=0)
-            np.maximum(pre, 0.0, out=pre)
-            shift *= on0
-            pre -= shift
-            diff += pre @ init.a0[c]
-        gap = float(np.maximum(gap, np.max(np.abs(diff))))  # NaN propagates; max() would drop it
-    return gap, flipped
+    cols = max(1, _TILE // min(_CHUNK, len(sample)))
+    starts = range(0, len(sample), _CHUNK)
+    gaps, flips = zip(*map(lambda lo: _scan_block(init, dW, sample[lo : lo + _CHUNK], cols), starts))
+    return float(np.max(gaps)), np.logical_or.reduce(flips)  # max() would drop a NaN gap
 
 
 def gradient_coupling_norm(g1: np.ndarray, g2: np.ndarray) -> float:

@@ -322,5 +322,8 @@ class TestBaselines:
         for rho in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 AttackConfig(rho=rho)
-        with pytest.raises(ValueError):
-            AttackConfig(rho=0.1, restarts=0)
+        # a float or NaN count would construct and fail later in range()
+        for bad in ({"restarts": 0}, {"restarts": 1.5}, {"steps": -1}, {"steps": 2.5}, {"steps": math.nan}):
+            with pytest.raises(ValueError):
+                AttackConfig(rho=0.1, **bad)
+        assert AttackConfig(rho=0.1, steps=np.int64(5), restarts=np.int64(2)).steps == 5

@@ -1,5 +1,6 @@
 """Tests for the network, its linearization, and the coupling diagnostics."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -328,16 +329,21 @@ def _scan_reference(state, X, chunk=None):
 
 
 class TestCouplingScanReference:
+    def scan(self, state, X):
+        """The scan under test: coupling_scan with its blocks run in turn."""
+        return coupling_scan(state, X)
+
     @pytest.mark.parametrize("perturbed", [False, True], ids=["init", "perturbed"])
     @pytest.mark.parametrize("m", [300, 4096])
     @pytest.mark.parametrize("n", [1, 20, 255, 256, 257, 700])
     def test_matches_reference(self, n, m, perturbed):
+        # n = 257 and n = 700 end in a ragged block of 1 and 188 rows
         st = init_network(m, 16, seed=21)
         if perturbed:
             st = perturbed_state(st, 2.0, seed=21)
         X = uniform_domain_sample(n, 16, stream(21, "scan", n))
         W = st.W.copy()
-        gap, flipped = coupling_scan(st, X)
+        gap, flipped = self.scan(st, X)
         ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
         assert gap == ref_gap
         assert np.array_equal(flipped, ref_flipped)
@@ -355,7 +361,7 @@ class TestCouplingScanReference:
         m = int(tiles * (_TILE // min(_CHUNK, n)))
         st = perturbed_state(init_network(m, 16, seed=24), 2.0, seed=24)
         X = uniform_domain_sample(n, 16, stream(24, "scan", n))
-        gap, flipped = coupling_scan(st, X)
+        gap, flipped = self.scan(st, X)
         ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
         assert gap == ref_gap
         assert np.array_equal(flipped, ref_flipped)
@@ -373,7 +379,7 @@ class TestCouplingScanReference:
         X = uniform_domain_sample(n, 16, stream(23, "scan", n))
         W = st.W.copy()
         W[:, 7] = np.nan
-        gap, flipped = coupling_scan(st.with_weights(W), X)
+        gap, flipped = self.scan(st.with_weights(W), X)
         assert math.isnan(gap)
         assert flipped.shape == (300,) and flipped.dtype == bool
 
@@ -381,10 +387,28 @@ class TestCouplingScanReference:
         states = [perturbed_state(init_network(m, 16, seed=22), 2.0, seed=22) for m in (4096, 300)]
         X = uniform_domain_sample(300, 16, stream(22, "scan"))
         for st in states + states[:1]:
-            gap, flipped = coupling_scan(st, X)
+            gap, flipped = self.scan(st, X)
             ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
             assert gap == ref_gap
             assert np.array_equal(flipped, ref_flipped)
+
+
+class TestPooledCouplingScan(TestCouplingScanReference):
+    """The reference checks again, with each scan's row blocks on a 2-worker pool."""
+
+    @pytest.fixture(autouse=True)
+    def _pool(self):
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            self.pool = pool
+            yield
+
+    def scan(self, state, X):
+        """coupling_scan on the pool, equal bit for bit to the serial scan."""
+        gap, flipped = coupling_scan(state, X, map=self.pool.map)
+        serial_gap, serial_flipped = coupling_scan(state, X)
+        assert gap == serial_gap or math.isnan(gap) and math.isnan(serial_gap)
+        assert np.array_equal(flipped, serial_flipped)
+        return gap, flipped
 
 
 class TestAntiConcentration:
