@@ -10,11 +10,11 @@ randomness is keyed by (seed, tag, example index, restart) so attacks are
 reproducible under any scheduling and larger restart counts extend, not
 reshuffle, smaller ones.
 
-Each PGA iterate is evaluated once: one network._Workspace forward gives the
-outputs and the activation mask, from which the loss, its slope and the
-input gradient all follow, and the evaluation after a projection is the next
-step's forward pass.  The workspace is allocated once per attack_batch call
-and refilled in place by every iterate.
+The restarts of attack_batch advance in lockstep, but the network is
+evaluated one restart at a time on one n-row network._Workspace, allocated
+once per call: a forward gives the outputs and the activation mask, from
+which the loss, its slope and the input gradient follow.  Ties between
+restarts resolve in restart order.
 """
 from __future__ import annotations
 
@@ -66,52 +66,61 @@ def project_to_cap(z, center, rho: float) -> np.ndarray:
     geodesic toward the center's head to the angle where the ball constraint
     binds, which puts it at chord distance rho up to rounding.  Falls back
     to the center for a head that still misses the ball by more than 1e-9,
-    such as a non-finite one.
+    such as a non-finite one or an antipodal one at d = 2.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
-    out = _project_cap_batch(np.atleast_2d(z).copy(), np.atleast_2d(center), rho)
+    out = _project_cap_batch(np.atleast_2d(z), np.atleast_2d(center), rho)
     return out[0] if single else out
 
 
-def _rescale_heads(H: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(H, axis=1, keepdims=True)
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    # what np.linalg.norm(A, axis=1, keepdims=True) evaluates, bit for bit
+    return np.sqrt(np.add.reduce(A * A, axis=1, keepdims=True))
+
+
+def _rescale_heads(H: np.ndarray, fallback: np.ndarray) -> None:
+    """Rescale the rows of H onto the head sphere in place; zero rows take fallback's."""
+    norms = _row_norms(H)
     degenerate = norms[:, 0] < 1e-12
-    if np.any(degenerate):
+    if degenerate.any():
         H[degenerate] = fallback[degenerate]
-        norms = np.linalg.norm(H, axis=1, keepdims=True)
-    return H * (HEAD_RADIUS / norms)
+        norms = _row_norms(H)
+    H *= HEAD_RADIUS / norms
 
 
 def _project_cap_batch(Z: np.ndarray, centers: np.ndarray, rho: float) -> np.ndarray:
     Hc = centers[:, :-1]
-    H = _rescale_heads(Z[:, :-1].copy(), Hc)
+    out = np.empty_like(Z)
+    out[:, -1] = 0.5
+    H = out[:, :-1]
+    H[...] = Z[:, :-1]
+    _rescale_heads(H, Hc)
     # chord rho on the head sphere corresponds to geodesic angle theta_max
     theta_max = 2.0 * math.asin(min(rho / (2.0 * HEAD_RADIUS), 1.0))
-    over = np.linalg.norm(H - Hc, axis=1) > rho + _PROJECT_TOL
-    if np.any(over):
+    over = _row_norms(H - Hc)[:, 0] > rho + _PROJECT_TOL
+    # a one-coordinate head (d = 2) has no tangent to rotate along: its over
+    # rows stay antipodal and fall back to the center below, the only cap
+    # point within rho < sqrt(3) of it
+    if over.any() and H.shape[1] > 1:
         u = Hc[over] / HEAD_RADIUS
         v = H[over] / HEAD_RADIUS
-        w = v - np.sum(u * v, axis=1, keepdims=True) * u
-        wn = np.linalg.norm(w, axis=1, keepdims=True)
+        w = v - np.add.reduce(u * v, axis=1, keepdims=True) * u
+        wn = _row_norms(w)
         # exactly antipodal heads have no preferred tangent; take the basis
         # direction least aligned with the center (never parallel to it)
         flat = wn[:, 0] < 1e-12
-        if np.any(flat):
+        if flat.any():
             uf = u[flat]
             pick = np.zeros_like(uf)
             pick[np.arange(len(uf)), np.argmin(np.abs(uf), axis=1)] = 1.0
-            w[flat] = pick - np.sum(uf * pick, axis=1, keepdims=True) * uf
-            wn[flat] = np.linalg.norm(w[flat], axis=1, keepdims=True)
+            w[flat] = pick - np.add.reduce(uf * pick, axis=1, keepdims=True) * uf
+            wn[flat] = _row_norms(w[flat])
         w /= wn
         H[over] = HEAD_RADIUS * (math.cos(theta_max) * u + math.sin(theta_max) * w)
-    dist = np.linalg.norm(H - Hc, axis=1)
-    bad = ~(dist <= rho + _PROJECT_TOL)  # negated so non-finite heads fall back too
-    if np.any(bad):
+    bad = ~(_row_norms(H - Hc)[:, 0] <= rho + _PROJECT_TOL)  # negated so non-finite heads fall back too
+    if bad.any():
         H[bad] = Hc[bad]
-    out = np.empty_like(Z)
-    out[:, :-1] = H
-    out[:, -1] = 0.5
     return out
 
 
@@ -130,14 +139,15 @@ def _random_cap_batch(X: np.ndarray, rho: float, rngs) -> np.ndarray:
     undrawn = np.zeros(len(X), dtype=bool)
     for i, rng in enumerate(rngs):
         direction = rng.standard_normal(d)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction.dot(direction))  # np.linalg.norm's vector 2-norm
         if norm == 0.0:
             undrawn[i] = True
             continue
         radius = rho * rng.uniform() ** (1.0 / d)
         Z[i] = X[i] + (radius / norm) * direction
     out = _project_cap_batch(Z, X, rho)
-    out[undrawn] = X[undrawn]
+    if undrawn.any():
+        out[undrawn] = X[undrawn]
     return out
 
 
@@ -146,38 +156,56 @@ def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0) -> np.ndarr
 
     Returns, per example, the feasible iterate with the highest loss among
     all iterates of all restarts and the unperturbed point itself, so the
-    attacked loss never falls below the clean loss.  Raises ValueError for
-    points off the domain.
+    attacked loss never falls below the clean loss; of equal losses the
+    earliest wins, in restart order and then step order.  Raises ValueError
+    for points off the domain.
+
+    The restarts advance in lockstep: rows r*n ... r*n + n - 1 of one array
+    hold restart r, which starts at X for r = 0 and at a random cap point
+    otherwise.  Each step runs the forward and the input gradient of one
+    restart after another on the n-row workspace, so every matrix product
+    keeps the shape and bits of a single-restart attack, then projects,
+    scores and keeps the best point of every (restart, example) at once.
+    The restarts are folded in order at the end.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     validate_domain(X)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = len(X)
+    n, k = len(X), cfg.restarts
+    y = np.broadcast_to(np.asarray(y, dtype=float), (n,))
     step = cfg.rho / 5.0
     ws = _Workspace(state, n)
-    best_x = X.copy()
-    preds = ws.forward(X)
-    best_l = np.asarray(loss.value(preds, y), dtype=float)
-    for r in range(cfg.restarts):
-        if r == 0:
-            cur = X
-        else:
-            rngs = [stream(cfg.seed, "attack", tag, i, r) for i in range(n)]
-            cur = _random_cap_batch(X, cfg.rho, rngs)
-            preds = ws.forward(cur)
-            _consider(cur, loss.value(preds, y), best_x, best_l)
-        for _ in range(cfg.steps):
-            grad = ws.input_gradient(_loss_slopes(loss, preds, y))
-            cur = _project_cap_batch(cur + step * grad, X, cfg.rho)
-            preds = ws.forward(cur)
-            _consider(cur, loss.value(preds, y), best_x, best_l)
-    return best_x
+    out = X.copy()
+    blocks = [slice(r * n, (r + 1) * n) for r in range(k)]
+    centers = np.tile(X, (k, 1))
+    ys = np.tile(y, k)
+    cur = centers.copy()
+    rngs = [stream(cfg.seed, "attack", tag, i, r) for r in range(1, k) for i in range(n)]
+    cur[n:] = _random_cap_batch(centers[n:], cfg.rho, rngs)
+    preds = np.empty(k * n)
+    grad = np.empty_like(cur)
+    for t in range(cfg.steps + 1):
+        last = t == cfg.steps
+        for rows in blocks:
+            preds[rows] = ws.forward(cur[rows])
+            if not last:
+                grad[rows] = ws.input_gradient(_loss_slopes(loss, preds[rows], y))
+        losses = np.asarray(loss.value(preds, ys), dtype=float)
+        if t == 0:
+            # every (restart, example) starts from the clean point and loss
+            out_l = losses[:n].copy()
+            best_x, best_l = centers.copy(), np.tile(out_l, k)
+        _consider(cur, losses, best_x, best_l)
+        if not last:
+            cur = _project_cap_batch(cur + step * grad, centers, cfg.rho)
+    for rows in blocks:
+        _consider(best_x[rows], best_l[rows], out, out_l)
+    return out
 
 
 def _consider(cur, losses, best_x, best_l):
     l = np.asarray(losses, dtype=float)
     upd = l > best_l
-    if np.any(upd):
+    if upd.any():
         best_l[upd] = l[upd]
         best_x[upd] = cur[upd]
 

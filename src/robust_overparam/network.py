@@ -90,7 +90,8 @@ class _Workspace:
 
     def input_gradient(self, slopes: np.ndarray) -> np.ndarray:
         """slopes * sum_r a_r W_r 1{active} at the points of the last forward."""
-        np.multiply(self.mask, self.state.init.a0, out=self.act)
+        np.copyto(self.act, self.mask)
+        self.act *= self.state.init.a0
         return slopes[:, None] * (self.act @ self.state.W.T)
 
     def weight_gradient(self, X, slopes: np.ndarray) -> np.ndarray:

@@ -93,6 +93,16 @@ class TestProjectToCap:
         out2 = project_to_cap(np.array([0.0, 0.0, 0.0, 0.5]), c, 0.2)
         assert np.allclose(out2, c, atol=1e-12)
 
+    def test_antipodal_head_at_d2_is_the_center(self):
+        # a one-coordinate head has no tangent direction to rotate along;
+        # for rho < sqrt(3) the center is the only cap point within rho
+        c = np.array([R, 0.5])
+        assert np.array_equal(project_to_cap(np.array([-R, 0.5]), c, 0.3), c)
+        centers = uniform_domain_sample(40, 2, stream(3, "c"))
+        for rho in (0.01, 0.3, 1.0):
+            out = project_to_cap(centers * np.array([-1.0, 1.0]), centers, rho)
+            assert np.array_equal(out, centers)
+
     @pytest.mark.parametrize("rho", [0.05, 0.2, 1.0])
     def test_far_and_antipodal_land_at_distance_rho(self, rho):
         # one geodesic rotation puts the head at chord rho from the center;
@@ -230,6 +240,16 @@ def _reference_attack(st, X, y, loss, cfg, tag=0):
     return best_x
 
 
+class _PlateauLoss:
+    """floor(128 |pred - y|) / 128, with the slope of |pred - y|."""
+
+    def value(self, pred, y):
+        return np.floor(128.0 * np.abs(np.asarray(pred, dtype=float) - y)) / 128.0
+
+    def slope(self, pred, y):
+        return np.sign(np.asarray(pred, dtype=float) - y)
+
+
 class TestAttackPinned:
     """attack_batch equals the stage-by-stage composition bit for bit."""
 
@@ -254,6 +274,16 @@ class TestAttackPinned:
         assert np.array_equal(out, _reference_attack(st, X, y, loss, cfg, tag=4))
         assert np.array_equal(st.W, W)
         assert not np.shares_memory(out, st.W)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("restarts,steps", [(3, 0), (3, 5), (2, 7)])
+    def test_plateau_ties_resolve_in_restart_order(self, seed, restarts, steps):
+        # a loss flat on 1/128-wide bands makes equal maxima across restarts
+        # and steps common; the earliest of them must win, as in the reference
+        st, X, y = self._setup(30 + seed)
+        cfg = AttackConfig(rho=0.1, steps=steps, restarts=restarts, seed=seed)
+        out = attack_batch(st, X, y, _PlateauLoss(), cfg, tag=2)
+        assert np.array_equal(out, _reference_attack(st, X, y, _PlateauLoss(), cfg, tag=2))
 
     def test_repeat_calls_agree(self):
         st, X, y = self._setup(22)
