@@ -27,6 +27,7 @@ from .network import (
     grad_loss_pseudo,
     grad_loss_real,
     gradient_coupling_norm,
+    gradient_coupling_ratio,
     init_network,
     weight_norms,
 )

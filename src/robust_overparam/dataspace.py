@@ -101,8 +101,12 @@ def separability(ds: Dataset, rho: float) -> SeparabilityReport:
     """Exact O(n^2) pairwise separation and the derived margin gamma.
 
     gamma = delta * (delta - 2 rho) may come out non-positive; callers that
-    need separation must treat that as a violation.
+    need separation must treat that as a violation.  rho = 0 asks for plain
+    separation; a negative (or NaN) rho is a ValueError, since it would
+    raise gamma above delta^2.
     """
+    if not rho >= 0:
+        raise ValueError(f"rho must be >= 0, got {rho!r}")
     if ds.n < 2:
         raise ValueError("separability needs at least two points")
     dm = np.linalg.norm(ds.X[:, None] - ds.X[None], axis=-1)

@@ -43,9 +43,7 @@ from .dataspace import (
 from .network import (
     anti_concentration_check,
     coupling_scan,
-    grad_loss_pseudo,
-    grad_loss_real,
-    gradient_coupling_norm,
+    gradient_coupling_ratio,
     init_network,
     perturbed_state,
     weight_norms,
@@ -191,17 +189,12 @@ def cmd_separability(args) -> dict:
 
 def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: int):
     """One (width, seed) cell: sup-sample gap, flip fraction, gradient ratio."""
-    state = init_network(m, d, seed)
-    pert = perturbed_state(state, R, seed)
+    pert = perturbed_state(init_network(m, d, seed), R, seed)
     sample = uniform_domain_sample(samples, d, stream(seed, "coupling-sample"))
     gap, flipped = coupling_scan(pert, sample, map=_pool_map)
     flips = float(flipped.sum()) / m
     ds = synth_separated(batch_n, d, delta_min=0.8, seed=seed)
-    loss = make_loss("absolute")
-    g_real = grad_loss_real(pert, ds.X, ds.y, loss)
-    g_pseudo = grad_loss_pseudo(pert, ds.X, ds.y, loss)
-    denom = float(np.linalg.norm(g_real, axis=0).sum())
-    ratio = gradient_coupling_norm(g_pseudo, g_real) / denom if denom > 0 else float("inf")
+    ratio = gradient_coupling_ratio(pert, ds.X, ds.y, make_loss("absolute"))
     return gap, flips, ratio
 
 

@@ -5,6 +5,10 @@ weights W trained; a and b stay frozen at initialization.  The pseudo-network
 g_W freezes every unit's activation pattern at initialization, making it
 linear in W - W0.  Operations here compute forwards, loss (sub)gradients in W,
 deviation norms, and the empirical gap between network and pseudo-network.
+
+Both coupling diagnostics stream over the hidden units, coupling_scan in
+cache-sized tiles and gradient_coupling_ratio in unit tiles, so a coupling
+cell holds W0, W, one W - W0 and one n x m buffer, and no d x m gradient.
 """
 from __future__ import annotations
 
@@ -21,6 +25,9 @@ _CHUNK = 256
 # 1.1 MiB, inside a 2 MiB L2 cache; on a 2-core Xeon with that L2, 65536 was
 # the fastest of 16384-131072
 _TILE = 65536
+# units per tile of gradient_coupling_ratio and of the pseudo forward's
+# X @ (W - W0); see _unit_tiles for the last tile
+_UNIT_TILE = 4096
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,33 @@ def init_network(m: int, d: int, seed: int) -> NetworkState:
     return NetworkState(init=snap, W=W0.copy())
 
 
+def _unit_tiles(m: int) -> list[slice]:
+    """Column slices of _UNIT_TILE units; the last one takes the remainder.
+
+    So no tile is narrower than min(m, _UNIT_TILE): numpy takes a one-column
+    product through gemv and a one-column norm through a pairwise sum, and
+    both round differently from the full-width ones.
+    """
+    starts = range(0, max(m - _UNIT_TILE, 0) + 1, _UNIT_TILE)
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], m])]
+
+
+def _weight_gradient(X, slopes: np.ndarray, a0: np.ndarray, mask, factor) -> np.ndarray:
+    """Mean over the rows of X of slopes * a_r x 1{mask}, d x len(a0); factor is an n x len(a0) buffer."""
+    np.multiply(slopes[:, None], a0, out=factor)
+    factor *= mask
+    grad = X.T @ factor
+    grad /= len(X)
+    return grad
+
+
 class _Workspace:
     """n x m buffers that every evaluation of an n-point batch refills in place.
 
     A forward leaves the active mask 1{X @ W + b0 >= 0} in mask, which both
-    gradients read.  act holds X @ W + b0, then its ReLU, then the n x m
-    factor of each gradient.
+    gradients read; a pseudo forward leaves 1{X @ W0 + b0 >= 0} there
+    instead.  act holds X @ W + b0, then its ReLU, then the n x m factor of
+    each gradient.
     """
 
     def __init__(self, state: NetworkState, n: int):
@@ -88,6 +116,23 @@ class _Workspace:
         np.maximum(self.act, 0.0, out=self.act)
         return self.act @ self.state.init.a0
 
+    def pseudo_forward(self, X, mask0=None) -> np.ndarray:
+        """g(x) = sum_r a_r <W_r - W0_r, x> 1{<W0_r, x> + b0_r >= 0} at each row of X.
+
+        Leaves the initial active mask in mask0 (default: mask).  X @ (W - W0)
+        is filled into act one unit tile at a time, from a d x tile
+        difference, so no d x m difference is allocated.
+        """
+        init = self.state.init
+        mask0 = self.mask if mask0 is None else mask0
+        np.matmul(X, init.W0, out=self.act)
+        self.act += init.b0
+        np.greater_equal(self.act, 0.0, out=mask0)
+        for c in _unit_tiles(init.m):
+            np.matmul(X, self.state.W[:, c] - init.W0[:, c], out=self.act[:, c])
+        self.act *= mask0
+        return self.act @ init.a0
+
     def input_gradient(self, slopes: np.ndarray) -> np.ndarray:
         """slopes * sum_r a_r W_r 1{active} at the points of the last forward."""
         np.copyto(self.act, self.mask)
@@ -96,11 +141,7 @@ class _Workspace:
 
     def weight_gradient(self, X, slopes: np.ndarray) -> np.ndarray:
         """Mean over the last forward's points X of slopes * a_r x 1{active}, d x m."""
-        np.multiply(slopes[:, None], self.state.init.a0, out=self.act)
-        self.act *= self.mask
-        grad = X.T @ self.act
-        grad /= len(X)
-        return grad
+        return _weight_gradient(X, slopes, self.state.init.a0, self.mask, self.act)
 
 
 def forward_real(state: NetworkState, x) -> float | np.ndarray:
@@ -117,14 +158,20 @@ def forward_pseudo(state: NetworkState, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    init = state.init
-    mask0 = (X @ init.W0 + init.b0) >= 0
-    out = ((X @ (state.W - init.W0)) * mask0) @ init.a0
+    out = _Workspace(state, len(X)).pseudo_forward(X)
     return float(out[0]) if single else out
 
 
 def _loss_slopes(loss, preds: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.asarray(loss.slope(preds, y), dtype=float)
+
+
+def _batch(X, y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if len(X) == 0:
+        raise ValueError("empty batch")
+    return X, y
 
 
 def grad_loss_real(state: NetworkState, X, y, loss) -> np.ndarray:
@@ -133,36 +180,57 @@ def grad_loss_real(state: NetworkState, X, y, loss) -> np.ndarray:
     Each column satisfies ||grad_r||_2 <= |a_r| <= m^(-1/3) for a 1-Lipschitz
     loss since inputs are unit vectors.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if len(X) == 0:
-        raise ValueError("empty batch")
+    X, y = _batch(X, y)
     ws = _Workspace(state, len(X))
     return ws.weight_gradient(X, _loss_slopes(loss, ws.forward(X), y))
 
 
 def grad_loss_pseudo(state: NetworkState, X, y, loss) -> np.ndarray:
     """Same as grad_loss_real but through g: frozen indicators, slopes at g."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if len(X) == 0:
-        raise ValueError("empty batch")
+    X, y = _batch(X, y)
+    ws = _Workspace(state, len(X))
+    return ws.weight_gradient(X, _loss_slopes(loss, ws.pseudo_forward(X), y))
+
+
+def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
+    """sum_r ||g_pseudo,r - g_real,r||_2 / sum_r ||g_real,r||_2; inf when the denominator is 0.
+
+    g_real and g_pseudo are grad_loss_real and grad_loss_pseudo on the batch,
+    and the ratio is gradient_coupling_norm(g_pseudo, g_real) over the
+    column-norm sum of g_real, without either d x m gradient.  Both forwards
+    run at full width on one n x m workspace; then each unit tile forms its
+    two d x tile gradient blocks, whose column norms go into two length-m
+    vectors that are summed once at the end.  The bits are those of the
+    full-width gradients wherever BLAS rounds a tile's product as it rounds
+    the same columns of the full product (see the README).
+    """
+    X, y = _batch(X, y)
     init = state.init
-    mask0 = (X @ init.W0 + init.b0) >= 0
-    lp = _loss_slopes(loss, ((X @ (state.W - init.W0)) * mask0) @ init.a0, y)
-    weights = mask0 * (lp[:, None] * init.a0[None, :])
-    return (X.T @ weights) / len(X)
+    ws = _Workspace(state, len(X))
+    slopes = _loss_slopes(loss, ws.forward(X), y)
+    mask0 = np.empty_like(ws.mask)
+    pseudo_slopes = _loss_slopes(loss, ws.pseudo_forward(X, mask0), y)
+    real_norms, diff_norms = np.empty(init.m), np.empty(init.m)
+    for c in _unit_tiles(init.m):
+        g_real = _weight_gradient(X, slopes, init.a0[c], ws.mask[:, c], ws.act[:, c])
+        diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0[:, c], ws.act[:, c])
+        diff -= g_real
+        real_norms[c] = np.linalg.norm(g_real, axis=0)
+        diff_norms[c] = np.linalg.norm(diff, axis=0)
+    denom = float(real_norms.sum())
+    return float(diff_norms.sum()) / denom if denom > 0 else float("inf")
 
 
-def _scan_block(init: InitSnapshot, dW: np.ndarray, X: np.ndarray, cols: int):
+def _scan_block(init: InitSnapshot, dW: np.ndarray, X: np.ndarray, cols: int, bufs):
     """One row block's (max |f - g|, flip mask), in tiles of cols units.
 
-    The block owns its four tile workspaces, so blocks can run on any
-    thread; its f - g is the sum of its tiles' matvecs, in column order.
+    bufs are four flat tile workspaces (float, float, bool, bool) of at
+    least len(X) * cols elements, the block's own while it runs, so blocks
+    can run on any thread; its f - g is the sum of its tiles' matvecs, in
+    column order.
     """
     diff = np.zeros(len(X))
     flipped = np.empty(init.m, dtype=bool)
-    bufs = [np.empty(len(X) * cols, dtype=t) for t in (float, float, bool, bool)]
     for c0 in range(0, init.m, cols):
         c = slice(c0, c0 + cols)
         shape = (len(X), min(cols, init.m - c0))
@@ -197,15 +265,29 @@ def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarr
     _TILE // min(_CHUNK, len(sample)) columns that stay in cache.  map runs
     the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
     combine by a NaN-propagating max and masks by an OR: no bit depends on map.
+    A block takes a spare set of tile buffers, or makes one if none is
+    spare, and returns it when done, so the scan makes one set per block
+    that runs at the same time.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise ValueError("empty sample")
     init = state.init
     dW = state.W - init.W0
-    cols = max(1, _TILE // min(_CHUNK, len(sample)))
-    starts = range(0, len(sample), _CHUNK)
-    gaps, flips = zip(*map(lambda lo: _scan_block(init, dW, sample[lo : lo + _CHUNK], cols), starts))
+    rows = min(_CHUNK, len(sample))
+    cols = max(1, _TILE // rows)
+    spares = []  # list.pop and list.append are atomic, so threads share it safely
+
+    def block(lo):
+        try:
+            bufs = spares.pop()
+        except IndexError:
+            bufs = [np.empty(rows * cols, dtype=t) for t in (float, float, bool, bool)]
+        result = _scan_block(init, dW, sample[lo : lo + _CHUNK], cols, bufs)
+        spares.append(bufs)
+        return result
+
+    gaps, flips = zip(*map(block, range(0, len(sample), _CHUNK)))
     return float(np.max(gaps)), np.logical_or.reduce(flips)  # max() would drop a NaN gap
 
 
@@ -229,12 +311,19 @@ def perturbed_state(state: NetworkState, deviation_scale: float, seed: int) -> N
     """W0 plus per-unit deviations of norm exactly deviation_scale * m^(-2/3).
 
     Random directions; sits on the boundary of the deviation ball used by the
-    coupling experiments (worst case within the hypothesis).
+    coupling experiments (worst case within the hypothesis).  Raises
+    ValueError unless deviation_scale is finite and >= 0: a negative one
+    would be a radius |deviation_scale| with every direction flipped.  W is
+    built in place in the array of directions.
     """
+    if not (math.isfinite(deviation_scale) and deviation_scale >= 0):
+        raise ValueError(f"deviation scale R must be finite and >= 0, got {deviation_scale!r}")
     init = state.init
     dirs = stream(seed, "coupling-dw").standard_normal((init.d, init.m))
     dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
-    return state.with_weights(init.W0 + deviation_scale * init.m ** (-2.0 / 3.0) * dirs)
+    dirs *= deviation_scale * init.m ** (-2.0 / 3.0)
+    dirs += init.W0
+    return state.with_weights(dirs)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,14 @@ class TestSeparability:
         assert rep.delta == pytest.approx(rep.per_point_delta.min())
         assert rep.gamma <= rep.delta**2
 
+    def test_rho_zero_and_negative(self):
+        ds = synth_separated(6, 6, 0.8, seed=4)
+        rep = separability(ds, rho=0.0)
+        assert rep.gamma == rep.delta**2
+        for rho in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="rho must be >= 0"):
+                separability(ds, rho=rho)
+
     def test_needs_two_points(self):
         ds = Dataset(np.array([[R, 0.0, 0.5]]), np.array([1.0]))
         with pytest.raises(ValueError):

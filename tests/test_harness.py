@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -72,6 +73,19 @@ class TestSeparabilityCommand:
         out = tmp_path / "rep.json"
         assert run(["separability", "--input", str(data), "--rho", "0.01", "--out", str(out)]) == 0
         assert json.loads(_read(out))["n"] == 2
+
+    @pytest.mark.parametrize("rho,code", [("-0.5", 2), ("0", 0)])
+    def test_negative_rho_is_usage_error(self, rho, code, tmp_path, capsys):
+        # rho = 0 asks for plain separation; rho < 0 would report gamma above delta^2
+        out = tmp_path / "s.json"
+        assert run(["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", rho, "--out", str(out)]) == code
+        if code:
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage" and "rho" in lines[0]
+            assert not out.exists()
+        else:
+            doc = json.loads(_read(out))
+            assert doc["separable"] is True and doc["gamma"] == doc["delta"] ** 2
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -353,6 +367,35 @@ class TestCouplingCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and "--samples" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("R,code", [("-2", 2), ("0", 0)])
+    def test_negative_R_is_usage_error(self, R, code, tmp_path, capsys):
+        # a negative R would be a radius-|R| deviation with its directions flipped
+        out = tmp_path / "z.csv"
+        assert run([
+            "coupling", "--m-list", "64", "--samples", "50", "--d", "6", "--seeds", "1", "--R", R,
+            "--out", str(out),
+        ]) == code
+        if code:
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage" and "R must" in lines[0]
+            assert not out.exists()
+        else:
+            row = _read(out).strip().split("\n")[2].split(",")
+            assert row[1] == "0.0" and row[4] == "0.0"  # W = W0: no unit flips
+
+    def test_cell_memory(self, monkeypatch):
+        # W0, W and W - W0 for the scan, one 20 x m batch buffer for the
+        # gradient ratio: under 5 d x m arrays, where full-width gradients took 7.3
+        monkeypatch.setenv(harness.THREADS_ENV, "2")
+        m, d = 65536, 16
+        tracemalloc.start()
+        try:
+            harness._coupling_cell(m, d, 2.0, 1000, 20, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * d * m * 8
 
     def test_outputs_independent_of_pool_size(self, tmp_path, monkeypatch):
         # one worker or two, every cell runs on one BLAS thread

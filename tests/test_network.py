@@ -2,14 +2,17 @@
 
 import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from robust_overparam import network
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     _CHUNK,
     _TILE,
+    _UNIT_TILE,
     InitSnapshot,
     NetworkState,
     anti_concentration_check,
@@ -19,6 +22,7 @@ from robust_overparam.network import (
     grad_loss_pseudo,
     grad_loss_real,
     gradient_coupling_norm,
+    gradient_coupling_ratio,
     init_network,
     perturbed_state,
     weight_norms,
@@ -244,6 +248,82 @@ class TestGradientsPinned:
         assert np.array_equal(grad_loss_pseudo(st, X, y, loss), X.T @ (mask0 * (slopes[:, None] * init.a0)) / n)
 
 
+def _full_width_ratio(st, X, y, loss):
+    """The gradient coupling ratio from both d x m gradients, as TestGradientsPinned writes them."""
+    init, n = st.init, len(X)
+    pre = X @ st.W + init.b0
+    slopes = loss.slope(np.maximum(pre, 0.0) @ init.a0, y)
+    g_real = X.T @ ((pre >= 0) * (slopes[:, None] * init.a0)) / n
+    mask0 = (X @ init.W0 + init.b0) >= 0
+    slopes0 = loss.slope(((X @ (st.W - init.W0)) * mask0) @ init.a0, y)
+    g_pseudo = X.T @ (mask0 * (slopes0[:, None] * init.a0)) / n
+    return g_real, g_pseudo, gradient_coupling_norm(g_pseudo, g_real) / np.linalg.norm(g_real, axis=0).sum()
+
+
+class TestGradientCouplingRatio:
+    """The streamed ratio against the full-width gradients, bit for bit."""
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["init", "perturbed"])
+    @pytest.mark.parametrize("loss_tag", ["absolute", "huber"])
+    @pytest.mark.parametrize("n", [1, 20])
+    @pytest.mark.parametrize("m", [300, 4096, 4097, 9000])
+    def test_matches_full_width_gradients(self, m, n, loss_tag, perturbed):
+        # below one unit tile, one whole tile, one unit over, a ragged last tile
+        assert _UNIT_TILE == 4096
+        st = init_network(m, 16, seed=41)
+        if perturbed:
+            st = perturbed_state(st, 2.0, seed=41)
+        X = uniform_domain_sample(n, 16, stream(41, "ratio", n))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        loss = make_loss(loss_tag)
+        g_real, g_pseudo = grad_loss_real(st, X, y, loss), grad_loss_pseudo(st, X, y, loss)
+        ref_real, ref_pseudo, ref_ratio = _full_width_ratio(st, X, y, loss)
+        assert np.array_equal(g_real, ref_real) and np.array_equal(g_pseudo, ref_pseudo)
+        expected = gradient_coupling_norm(g_pseudo, g_real) / np.linalg.norm(g_real, axis=0).sum()
+        assert gradient_coupling_ratio(st, X, y, loss) == expected == ref_ratio
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("m", [4097, 9000])
+    def test_last_unit_alone(self, m, seed):
+        # only the last unit is ever active, so the ratio is that one column's
+        # and no other column's norm can hide a rounding difference in the sums
+        st = perturbed_state(init_network(m, 16, seed), 2.0, seed)
+        b0 = np.full(m, -5.0)
+        b0[-1] = 5.0
+        st = NetworkState(InitSnapshot(st.init.W0, b0, st.init.a0, m, 16, seed), st.W)
+        X = uniform_domain_sample(20, 16, stream(seed, "ratio-last"))
+        y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+        loss = make_loss("huber")
+        assert gradient_coupling_ratio(st, X, y, loss) == _full_width_ratio(st, X, y, loss)[2] > 0
+
+    @pytest.mark.parametrize("m", [1, 9000])
+    def test_no_active_unit_is_inf(self, m):
+        W = np.random.default_rng(42).standard_normal((2, m))
+        st = _tiny_state(W, np.full(m, -5.0), np.ones(m))
+        X = np.array([[R, 0.5], [-R, 0.5]])
+        assert gradient_coupling_ratio(st, X, np.array([1.0, -1.0]), LOSS) == math.inf
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            gradient_coupling_ratio(init_network(16, 5, seed=1), np.zeros((0, 5)), np.zeros(0), LOSS)
+
+
+class TestPerturbedState:
+    @pytest.mark.parametrize("R_", [0.0, 2.0])
+    def test_equals_the_formula(self, R_):
+        st = init_network(300, 7, seed=43)
+        dirs = stream(43, "coupling-dw").standard_normal((7, 300))
+        dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
+        W = perturbed_state(st, R_, seed=43).W
+        assert np.array_equal(W, st.init.W0 + R_ * 300 ** (-2.0 / 3.0) * dirs)
+        assert np.allclose(np.linalg.norm(W - st.init.W0, axis=0), R_ * 300 ** (-2.0 / 3.0))
+
+    @pytest.mark.parametrize("R_", [-2.0, -1e-300, math.nan, math.inf])
+    def test_negative_or_nonfinite_scale_rejected(self, R_):
+        with pytest.raises(ValueError, match="R must be finite and >= 0"):
+            perturbed_state(init_network(16, 5, seed=1), R_, seed=1)
+
+
 class TestCoupling:
     def test_gap_at_init_is_forward_magnitude(self):
         st = init_network(256, 6, seed=9)
@@ -409,6 +489,32 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         assert gap == serial_gap or math.isnan(gap) and math.isnan(serial_gap)
         assert np.array_equal(flipped, serial_flipped)
         return gap, flipped
+
+    def test_many_blocks_reuse_buffer_sets(self, monkeypatch):
+        # 16 row blocks, the last one 160 rows, on two workers: each buffer set
+        # serves many blocks, and never two at the same time
+        in_use, seen, lock = set(), set(), threading.Lock()
+        scan_block = network._scan_block
+
+        def checked(init, dW, X, cols, bufs):
+            with lock:
+                assert id(bufs[0]) not in in_use
+                in_use.add(id(bufs[0]))
+                seen.add(id(bufs[0]))
+            try:
+                return scan_block(init, dW, X, cols, bufs)
+            finally:
+                with lock:
+                    in_use.discard(id(bufs[0]))
+
+        monkeypatch.setattr(network, "_scan_block", checked)
+        st = perturbed_state(init_network(4096, 16, seed=25), 2.0, seed=25)
+        X = uniform_domain_sample(4000, 16, stream(25, "scan"))
+        gap, flipped = coupling_scan(st, X, map=self.pool.map)
+        assert len(seen) <= 2
+        ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
+        assert gap == ref_gap
+        assert np.array_equal(flipped, ref_flipped)
 
 
 class TestAntiConcentration:
