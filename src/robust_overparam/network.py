@@ -74,14 +74,14 @@ def init_network(m: int, d: int, seed: int) -> NetworkState:
     return NetworkState(init=snap, W=W0.copy())
 
 
-def _unit_tiles(m: int) -> list[slice]:
-    """Column slices of _UNIT_TILE units; the last one takes the remainder.
+def _unit_tiles(m: int, width: int = _UNIT_TILE) -> list[slice]:
+    """Column slices of width units; the last one takes the remainder.
 
-    So no tile is narrower than min(m, _UNIT_TILE): numpy takes a one-column
+    So no tile is narrower than min(m, width): numpy takes a one-column
     product through gemv and a one-column norm through a pairwise sum, and
     both round differently from the full-width ones.
     """
-    starts = range(0, max(m - _UNIT_TILE, 0) + 1, _UNIT_TILE)
+    starts = range(0, max(m - width, 0) + 1, width)
     return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], m])]
 
 
@@ -314,13 +314,15 @@ def perturbed_state(state: NetworkState, deviation_scale: float, seed: int) -> N
     coupling experiments (worst case within the hypothesis).  Raises
     ValueError unless deviation_scale is finite and >= 0: a negative one
     would be a radius |deviation_scale| with every direction flipped.  W is
-    built in place in the array of directions.
+    built in place in the array of directions, normalized one unit tile at a
+    time so that the norm's squares take d x tile, not d x m.
     """
     if not (math.isfinite(deviation_scale) and deviation_scale >= 0):
         raise ValueError(f"deviation scale R must be finite and >= 0, got {deviation_scale!r}")
     init = state.init
     dirs = stream(seed, "coupling-dw").standard_normal((init.d, init.m))
-    dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
+    for c in _unit_tiles(init.m):
+        dirs[:, c] /= np.linalg.norm(dirs[:, c], axis=0)
     dirs *= deviation_scale * init.m ** (-2.0 / 3.0)
     dirs += init.W0
     return state.with_weights(dirs)

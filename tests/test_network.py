@@ -318,6 +318,16 @@ class TestPerturbedState:
         assert np.array_equal(W, st.init.W0 + R_ * 300 ** (-2.0 / 3.0) * dirs)
         assert np.allclose(np.linalg.norm(W - st.init.W0, axis=0), R_ * 300 ** (-2.0 / 3.0))
 
+    @pytest.mark.parametrize("d,m", [(16, 300), (8, 4097), (10, 8192), (16, 65536)])
+    def test_tiled_norm_is_the_full_width_norm(self, d, m):
+        # the directions are normalized one unit tile at a time, bit for bit
+        # as by the full-width column norm
+        st = init_network(m, d, seed=44)
+        dirs = stream(44, "coupling-dw").standard_normal((d, m))
+        dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
+        W = perturbed_state(st, 2.0, seed=44).W
+        assert np.array_equal(W, st.init.W0 + 2.0 * m ** (-2.0 / 3.0) * dirs)
+
     @pytest.mark.parametrize("R_", [-2.0, -1e-300, math.nan, math.inf])
     def test_negative_or_nonfinite_scale_rejected(self, R_):
         with pytest.raises(ValueError, match="R must be finite and >= 0"):

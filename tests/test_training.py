@@ -1,6 +1,7 @@
 """Tests for losses, the schedule, the training loop, and the pseudo fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import InitSnapshot, forward_real, init_network
 from robust_overparam.rng import stream
 from robust_overparam.training import (
+    _FIT_TILE,
     FitDegenerateError,
+    _count_gram,
     HyperParams,
     adversarial_train,
     fit_pseudo_to_target,
@@ -253,6 +256,65 @@ class TestFitPseudo:
         st = init_network(4096, 10, seed=7)
         fit = fit_pseudo_to_target(st.init, target, sample)
         assert fit.max_error <= 0.1
+
+    @pytest.mark.parametrize("sample_kind", ["random", "fit-instance"])
+    @pytest.mark.parametrize("m", [300, 1024, 1025, 4097, 9000])
+    def test_streamed_fit_matches_dense_formula(self, m, sample_kind):
+        # below one unit tile, one whole tile, one unit over, four tiles and
+        # a unit, a ragged last tile
+        from robust_overparam.harness import build_fit_instance
+
+        assert _FIT_TILE == 1024
+        if sample_kind == "random":
+            S = uniform_domain_sample(60, 10, stream(53, "s"))
+            vals = np.sin(7.0 * S[:, 0])
+        else:
+            _, target, S = build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)
+            vals = target(S)
+        init = init_network(m, 10, seed=53).init
+        fit = fit_pseudo_to_target(init, vals, S)
+
+        mask = (S @ init.W0 + init.b0) >= 0
+        assert np.array_equal(_count_gram(init, S), mask.astype(np.int64) @ mask.T.astype(np.int64))
+        Phi = mask * (0.5 * init.a0)
+        K = Phi @ Phi.T
+        K[np.diag_indices_from(K)] += fit.ridge
+        coeffs = Phi.T @ np.linalg.solve(K, vals)
+        two_inf = np.max(np.abs(coeffs))
+        # with n = 420 points and m <= 1025 the fit instance's K has condition
+        # number ~1e8, and the dense coefficients alone move by up to 8e-12
+        # relative when the units are permuted; 1e-12 holds where K is well
+        # conditioned
+        rtol = 1e-12 if sample_kind == "random" else 1e-10
+        assert np.max(np.abs(fit.coeffs - coeffs)) <= rtol * two_inf
+        assert fit.two_inf == pytest.approx(two_inf, rel=rtol, abs=0)
+        assert fit.r_star == pytest.approx(two_inf * m ** (2.0 / 3.0), rel=rtol, abs=0)
+        resid = np.max(np.abs(Phi @ fit.coeffs - vals))
+        assert fit.max_error == pytest.approx(resid, rel=1e-9, abs=0)
+
+    def test_fit_holds_no_n_by_m_array(self):
+        # a 420 x 65536 float64 array alone is 220 MB
+        from robust_overparam.harness import build_fit_instance
+
+        _, target, sample = build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)
+        init = init_network(65536, 10, seed=7).init
+        vals = target(sample)
+        tracemalloc.start()
+        try:
+            fit_pseudo_to_target(init, vals, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_a0_magnitudes_validated(self):
+        st = init_network(64, 4, seed=54)
+        a0 = st.init.a0.copy()
+        a0[3] *= 2.0
+        snap = InitSnapshot(W0=st.init.W0, b0=st.init.b0, a0=a0, m=64, d=4, seed=54)
+        S = uniform_domain_sample(10, 4, stream(54, "s"))
+        with pytest.raises(ValueError, match="same magnitude"):
+            fit_pseudo_to_target(snap, np.ones(10), S)
 
     def test_width_doubling_sweep(self):
         # at a ridge level where the residual is meaningful, error is
