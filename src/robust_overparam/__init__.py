@@ -22,6 +22,7 @@ from .network import (
     NetworkState,
     anti_concentration_check,
     coupling_scan,
+    drift_2inf,
     forward_pseudo,
     forward_real,
     grad_loss_pseudo,
@@ -29,7 +30,6 @@ from .network import (
     gradient_coupling_norm,
     gradient_coupling_ratio,
     init_network,
-    weight_norms,
 )
 from .polyapprox import (
     CertificationError,

@@ -23,13 +23,13 @@ class SeparabilityError(Exception):
     """The dataset violates the separation the construction relies on."""
 
 
-def validate_domain(X: np.ndarray, atol: float = DOMAIN_ATOL) -> None:
+def validate_domain(X: np.ndarray) -> None:
     X = np.atleast_2d(X)
     norms = np.linalg.norm(X, axis=1)
     # written as `not x <= atol` so that a NaN point fails
-    if not np.all(np.abs(norms - 1.0) <= atol):
-        raise ValueError(f"points must have unit norm within {atol}")
-    if not np.all(np.abs(X[:, -1] - 0.5) <= atol):
+    if not np.all(np.abs(norms - 1.0) <= DOMAIN_ATOL):
+        raise ValueError(f"points must have unit norm within {DOMAIN_ATOL}")
+    if not np.all(np.abs(X[:, -1] - 0.5) <= DOMAIN_ATOL):
         raise ValueError("last coordinate must equal 1/2")
 
 
@@ -121,10 +121,10 @@ def separability(ds: Dataset, rho: float) -> SeparabilityReport:
     )
 
 
-def delta_histogram(report: SeparabilityReport, bins: int = 50):
-    """Counts of per-point nearest-neighbour distances over uniform bins."""
+def delta_histogram(report: SeparabilityReport):
+    """Counts of per-point nearest-neighbour distances over 50 uniform bins."""
     top = float(report.per_point_delta.max())
-    counts, edges = np.histogram(report.per_point_delta, bins=bins, range=(0.0, top))
+    counts, edges = np.histogram(report.per_point_delta, bins=50, range=(0.0, top))
     return counts, edges
 
 

@@ -9,8 +9,8 @@ whole through write_outputs: a command that fails changes none of its
 targets.  `fit`'s max_error is in-sample, the largest miss on the fit sample
 itself; with 420 sample points and m >= 1024 features the fit interpolates.
 Exit codes: 0 success, 1 certification, separability or degenerate-fit
-failure, 2 usage error; failures also emit one machine-readable JSON line on
-stderr.
+failure, 2 usage error (a size too large to allocate is one); failures also
+emit one machine-readable JSON line on stderr.
 """
 from __future__ import annotations
 
@@ -43,10 +43,10 @@ from .dataspace import (
 from .network import (
     anti_concentration_check,
     coupling_scan,
+    drift_2inf,
     gradient_coupling_ratio,
     init_network,
     perturbed_state,
-    weight_norms,
 )
 from .polyapprox import CertificationError, StepSpec, robust_interpolant, step_poly
 from .rng import stream
@@ -65,9 +65,10 @@ THREADS_ENV = "ROBUST_OVERPARAM_THREADS"
 # Reproducible output sets, written all or nothing
 # ---------------------------------------------------------------------------
 
+_OUTPUTS = ("out", "emit", "hist", "trace", "summary", "grad_out")
 # parsed attributes that are not configuration: the handler, the --config
 # file (its values are already resolved into the flags) and the output paths
-_NOT_CONFIG = frozenset({"func", "config", "out", "emit", "hist", "trace", "summary", "grad_out"})
+_NOT_CONFIG = frozenset({"func", "config", *_OUTPUTS})
 
 # the mode a plain open(path, "w") gives a new file under this umask
 _UMASK = os.umask(0)
@@ -215,7 +216,7 @@ def cmd_coupling(args) -> dict:
 
 
 def cmd_anticonc(args) -> dict:
-    rows = anti_concentration_check(args.m, args.d, args.t_grid, args.trials, args.seed)
+    rows = anti_concentration_check(args.d, args.t_grid, args.trials, args.seed)
     header = ("t", "estimate", "exact", "stderr", "envelope")
     return {args.out: (header, [(r.t, r.estimate, r.exact, r.stderr, r.envelope) for r in rows])}
 
@@ -280,7 +281,7 @@ def cmd_train(args) -> dict:
     summary = {
         "best_t": result.best_t,
         "best_robust_loss": result.best_robust_loss,
-        "final_drift_2inf": weight_norms(result.final_W, state.init.W0).two_inf,
+        "final_drift_2inf": drift_2inf(result.final_W, state.init.W0),
         "hp": dataclasses.asdict(result.hp),
         "invariant_violations": result.violations,
     }
@@ -474,7 +475,6 @@ def build_parser():
     cpl.set_defaults(func=cmd_coupling)
 
     ac = sub.add_parser("anticonc", help="anti-concentration Monte Carlo check")
-    ac.add_argument("--m", type=int, default=4096)
     ac.add_argument("--d", type=int, default=16)
     ac.add_argument("--t-grid", type=float_list, default="0.01,0.05,0.1,0.5")
     ac.add_argument("--trials", type=int, default=100_000)
@@ -548,6 +548,16 @@ def _config_path(argv) -> str | None:
     return pre.parse_known_args(argv)[0].config
 
 
+def _check_distinct_outputs(args) -> None:
+    """Refuse two output flags that name one file, of which only one body would be kept."""
+    dests = {}
+    for dest in (d for d in _OUTPUTS if getattr(args, d, None) is not None):
+        other = dests.setdefault(os.path.realpath(getattr(args, dest)), dest)
+        if other != dest:
+            flags = f"--{other} and --{dest}".replace("_", "-")
+            raise _UsageError(f"{flags} name the same file {getattr(args, dest)!r}")
+
+
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -577,6 +587,7 @@ def run(argv=None) -> int:
                 if action.dest in defaults:
                     action.required = False
         args = parser.parse_args(argv)
+        _check_distinct_outputs(args)
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
@@ -594,7 +605,7 @@ def run(argv=None) -> int:
     except (CertificationError, SeparabilityError, FitDegenerateError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _emit_error("usage", str(exc))
         return 2
     return 0

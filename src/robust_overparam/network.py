@@ -4,7 +4,7 @@ The network is f_W(x) = sum_r a_r relu(<W_r, x> + b_r) with only the hidden
 weights W trained; a and b stay frozen at initialization.  The pseudo-network
 g_W freezes every unit's activation pattern at initialization, making it
 linear in W - W0.  Operations here compute forwards, loss (sub)gradients in W,
-deviation norms, and the empirical gap between network and pseudo-network.
+the (2,inf) drift, and the empirical gap between network and pseudo-network.
 
 Both coupling diagnostics stream over the hidden units, coupling_scan in
 cache-sized tiles and gradient_coupling_ratio in unit tiles, so a coupling
@@ -32,14 +32,23 @@ _UNIT_TILE = 4096
 
 @dataclass(frozen=True)
 class InitSnapshot:
-    """Frozen initialization: W0, b0 entries iid N(0, 1/m), a0 entries +-m^(-1/3)."""
+    """Read-only initialization: W0, b0 entries iid N(0, 1/m), a0 entries +-m^(-1/3)."""
 
     W0: np.ndarray
     b0: np.ndarray
     a0: np.ndarray
-    m: int
-    d: int
-    seed: int
+
+    def __post_init__(self):
+        for array in (self.W0, self.b0, self.a0):
+            array.flags.writeable = False
+
+    @property
+    def d(self) -> int:
+        return self.W0.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.W0.shape[1]
 
 
 @dataclass
@@ -48,18 +57,11 @@ class NetworkState:
     W: np.ndarray
 
     def __post_init__(self):
-        if self.W.shape != (self.init.d, self.init.m):
+        if self.W.shape != self.init.W0.shape:
             raise ValueError("W must be d x m matching the snapshot")
 
     def with_weights(self, W: np.ndarray) -> "NetworkState":
         return NetworkState(self.init, W)
-
-
-@dataclass(frozen=True)
-class WeightNorms:
-    two_inf: float
-    two_one: float
-    frob: float
 
 
 def init_network(m: int, d: int, seed: int) -> NetworkState:
@@ -70,8 +72,7 @@ def init_network(m: int, d: int, seed: int) -> NetworkState:
     b0 = stream(seed, "init-b").standard_normal(m) * scale
     signs = stream(seed, "init-a").integers(0, 2, size=m) * 2.0 - 1.0
     a0 = signs * m ** (-1.0 / 3.0)
-    snap = InitSnapshot(W0=W0, b0=b0, a0=a0, m=m, d=d, seed=seed)
-    return NetworkState(init=snap, W=W0.copy())
+    return NetworkState(init=InitSnapshot(W0=W0, b0=b0, a0=a0), W=W0)
 
 
 def _unit_tiles(m: int, width: int = _UNIT_TILE) -> list[slice]:
@@ -298,13 +299,9 @@ def gradient_coupling_norm(g1: np.ndarray, g2: np.ndarray) -> float:
     return float(np.linalg.norm(g1 - g2, axis=0).sum())
 
 
-def weight_norms(W: np.ndarray, W0: np.ndarray) -> WeightNorms:
-    col = np.linalg.norm(W - W0, axis=0)
-    return WeightNorms(
-        two_inf=float(col.max()) if col.size else 0.0,
-        two_one=float(col.sum()),
-        frob=float(np.linalg.norm(W - W0)),
-    )
+def drift_2inf(W: np.ndarray, W0: np.ndarray) -> float:
+    """||W - W0||_{2,inf}: the largest column norm of the deviation from initialization."""
+    return float(np.linalg.norm(W - W0, axis=0).max())
 
 
 def perturbed_state(state: NetworkState, deviation_scale: float, seed: int) -> NetworkState:
@@ -337,15 +334,15 @@ class AntiConcentrationRow:
     envelope: float
 
 
-def anti_concentration_check(m: int, d: int, t_grid, trials: int, seed: int):
+def anti_concentration_check(d: int, t_grid, trials: int, seed: int):
     """Monte-Carlo check that Pr[|<u,x> + beta| <= t] stays O(t).
 
     With u ~ N(0, I_d), beta ~ N(0,1) and x on the domain, the probe variable
     is exactly N(0, 2), so the estimate must match 2*Phi(t/sqrt(2)) - 1 =
     erf(t/2) and stay below the density envelope t/sqrt(pi), both up to 5
     standard errors.  Raises CertificationError on violation and ValueError
-    on a negative threshold or d < 2 (x needs two distinct coordinates).  m
-    is recorded for provenance only; the scaled probe does not depend on it.
+    on a negative threshold or d < 2 (x needs two distinct coordinates).  The
+    probe does not depend on the network's width.
     """
     from .polyapprox import CertificationError
 

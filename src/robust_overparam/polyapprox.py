@@ -521,7 +521,6 @@ def _affine_substitute_exact(poly: Dyadic, alpha: float) -> Dyadic:
 class ComplexityReport:
     c_eps: float
     c_plain: float
-    base_constant: float
 
 
 def _logsumexp(logs: list[float]) -> float:
@@ -529,21 +528,19 @@ def _logsumexp(logs: list[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def complexity_measures(p: Polynomial, eps1: float, base_constant: float = 2.0) -> ComplexityReport:
+def complexity_measures(p: Polynomial, eps1: float) -> ComplexityReport:
     """Coefficient-weighted complexity of a polynomial.
 
     c_eps  = sum_j c^j (1 + (ln(1/eps1)/j)^(j/2)) |a_j|, with the j = 0 factor
     taken as its limit 1 (so the term is 2|a_0|); c_plain = c * sum_j
-    (j+1)^1.75 |a_j|.  Sums are accumulated in log space: coefficients of the
-    compressed constructions can exceed the float range.
+    (j+1)^1.75 |a_j|; both take c = 2.  Sums are accumulated in log space:
+    coefficients of the compressed constructions can exceed the float range.
     """
     if not 0 < eps1 < 1:
         raise ValueError("eps1 must be in (0, 1)")
-    if base_constant <= 1:
-        raise ValueError("base_constant must be > 1")
     mags = p.monomial_magnitudes()
     log_l = math.log(math.log(1.0 / eps1))
-    logc = math.log(base_constant)
+    logc = math.log(2.0)
     eps_terms: list[float] = []
     plain_terms: list[float] = []
     for j, mag in enumerate(mags):
@@ -558,7 +555,7 @@ def complexity_measures(p: Polynomial, eps1: float, base_constant: float = 2.0) 
             extra = 1.0 + math.exp(half_pow) if half_pow < 700 else math.exp(half_pow)
         eps_terms.append(j * logc + math.log(extra) + logm)
     if not eps_terms:
-        return ComplexityReport(0.0, 0.0, base_constant)
+        return ComplexityReport(0.0, 0.0)
 
     def from_log(lv: float) -> float:
         return math.exp(lv) if lv < math.log(np.finfo(float).max) else float("inf")
@@ -566,7 +563,6 @@ def complexity_measures(p: Polynomial, eps1: float, base_constant: float = 2.0) 
     return ComplexityReport(
         c_eps=from_log(_logsumexp(eps_terms)),
         c_plain=from_log(_logsumexp(plain_terms)),
-        base_constant=base_constant,
     )
 
 

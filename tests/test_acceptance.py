@@ -305,7 +305,7 @@ def test_criterion_09_best_iterate_halving(training_run, halving_run):
 
 
 def test_criterion_10_anti_concentration():
-    rows = anti_concentration_check(M_TRAIN, D, [0.01, 0.05, 0.1, 0.5], trials=100_000, seed=SEED)
+    rows = anti_concentration_check(D, [0.01, 0.05, 0.1, 0.5], trials=100_000, seed=SEED)
     for r in rows:
         assert abs(r.estimate - r.exact) <= 5.0 * r.stderr
     report(10, "anti-concentration", True, f"{len(rows)} thresholds within 5 SE")

@@ -24,10 +24,7 @@ LOSS = make_loss("absolute")
 
 def _tiny_state(W, b, a):
     W = np.asarray(W, dtype=float)
-    snap = InitSnapshot(
-        W0=W.copy(), b0=np.asarray(b, dtype=float), a0=np.asarray(a, dtype=float),
-        m=W.shape[1], d=W.shape[0], seed=0,
-    )
+    snap = InitSnapshot(W0=W.copy(), b0=np.asarray(b, dtype=float), a0=np.asarray(a, dtype=float))
     return NetworkState(snap, W.copy())
 
 

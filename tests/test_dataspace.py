@@ -94,7 +94,7 @@ class TestSeparability:
         # values beyond shape, the output is descriptive
         ds = synth_separated(500, 32, 0.1, seed=9)
         rep = separability(ds, rho=0.05)
-        counts, edges = delta_histogram(rep, bins=50)
+        counts, edges = delta_histogram(rep)
         assert counts.sum() == ds.n
         assert len(edges) == 51
 

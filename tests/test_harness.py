@@ -153,7 +153,7 @@ class TestAnticoncCommand:
     def test_table(self, tmp_path):
         out = tmp_path / "ac.csv"
         code = run([
-            "anticonc", "--m", "64", "--d", "8", "--t-grid", "0.05,0.1",
+            "anticonc", "--d", "8", "--t-grid", "0.05,0.1",
             "--trials", "20000", "--seed", "2", "--out", str(out),
         ])
         assert code == 0
@@ -537,7 +537,7 @@ class TestWithoutScipy:
         commands = [
             ["poly", "--delta", "0.8", "--rho", "0.05", "--eps1", "0.01", "--emit", "p.json"],
             ["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", "0.05", "--out", "s.json"],
-            ["anticonc", "--m", "64", "--d", "8", "--t-grid", "0.05,0.1", "--trials", "20000",
+            ["anticonc", "--d", "8", "--t-grid", "0.05,0.1", "--trials", "20000",
              "--out", "a.csv"],
             ["fit", "--n", "6", "--d", "6", "--m", "256", "--pert-per-point", "2", "--out", "f.json"],
         ]
@@ -698,6 +698,48 @@ class TestUsageErrorsNotTracebacks:
             assert (tmp_path / name).read_bytes() == data
 
 
+class TestOutputsNameOneFile:
+    """Two output flags that resolve to one file are refused before the command runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", "0.05", "--out", "r.out", "--hist", "r.out"],
+        ["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", "0.05", "--out", "r.out", "--hist", "./r.out"],
+        SMALL_COUPLING + ["--m-list", "64", "--seeds", "1", "--out", "c.csv", "--grad-out", "c.csv"],
+        SMALL_COUPLING + ["--m-list", "64", "--seeds", "1", "--out", "c.csv", "--grad-out", "./c.csv"],
+    ])
+    def test_exit_two_and_no_file(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        flags = ("--out", "--hist") if argv[0] == "separability" else ("--out", "--grad-out")
+        assert err["error"] == "usage" and all(flag in err["message"] for flag in flags)
+        assert os.listdir(tmp_path) == []
+
+
+class TestUnallocatableSize:
+    """A size past the address space exits 2 with numpy's message, not a traceback.
+
+    numpy refuses these shapes before it allocates anything.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["coupling", "--m-list", "100000000000000", "--samples", "10", "--d", "6", "--seeds", "1", "--out", "c.csv"],
+        ["anticonc", "--trials", "100000000000000", "--out", "a.csv"],
+    ])
+    def test_exit_two_with_numpy_message(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "usage" and "Unable to allocate" in doc["message"]
+        assert os.listdir(tmp_path) == []
+
+
 class TestNonFiniteFloats:
     """NaN and infinite floats are usage errors, from the command line and from --config."""
 
@@ -709,7 +751,7 @@ class TestNonFiniteFloats:
         (COUPLING, "--R", "inf"),
         (TRAIN, "--c-eta", "nan"),
         (TRAIN, "--rho", "-inf"),
-        (["anticonc", "--m", "8", "--d", "4", "--trials", "10"], "--t-grid", "0.1,nan"),
+        (["anticonc", "--d", "4", "--trials", "10"], "--t-grid", "0.1,nan"),
     ])
     def test_flag_is_usage_error(self, argv, flag, value, tmp_path, capsys):
         out = tmp_path / "out"
@@ -739,7 +781,7 @@ class TestNonFiniteFloats:
 class TestAnticoncDeterminism:
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["anticonc", "--m", "64", "--d", "8", "--t-grid", "0.1",
+        args = ["anticonc", "--d", "8", "--t-grid", "0.1",
                 "--trials", "20000", "--seed", "9"]
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
@@ -754,7 +796,7 @@ PROVENANCE_RUNS = {
     "poly": (["--delta", "0.8", "--rho", "0.05", "--eps1", "0.1", "--emit"], "json"),
     "separability": (["--synth", "n=6,d=6,delta=0.5", "--rho", "0.05", "--out"], "json"),
     "coupling": (["--m-list", "64", "--samples", "100", "--d", "6", "--seeds", "1", "--out"], "csv"),
-    "anticonc": (["--m", "64", "--d", "8", "--t-grid", "0.1", "--trials", "10000", "--out"], "csv"),
+    "anticonc": (["--d", "8", "--t-grid", "0.1", "--trials", "10000", "--out"], "csv"),
     "fit": (["--n", "6", "--d", "6", "--m", "128", "--pert-per-point", "2", "--out"], "json"),
     "train": (["--synth", "n=4,d=6,delta=0.8", "--rho", "0.05", "--m", "64", "--eps", "0.5",
                "--R", "1", "--attack-steps", "1", "--summary"], "json"),

@@ -311,12 +311,12 @@ class TestComplexity:
         assert rep.c_eps == 0.0 and rep.c_plain == 0.0
 
     def test_linear_plain_value(self):
-        rep = complexity_measures(_exact_poly([0, 1]), eps1=0.5, base_constant=2.0)
+        rep = complexity_measures(_exact_poly([0, 1]), eps1=0.5)
         assert rep.c_plain == pytest.approx(2.0 * 2**1.75, rel=1e-12)
 
     def test_linear_eps_value(self):
         eps1 = 0.5
-        rep = complexity_measures(_exact_poly([0, 1]), eps1=eps1, base_constant=2.0)
+        rep = complexity_measures(_exact_poly([0, 1]), eps1=eps1)
         expected = 2.0 * (1.0 + math.sqrt(math.log(1.0 / eps1)))
         assert rep.c_eps == pytest.approx(expected, rel=1e-12)
 
@@ -327,7 +327,7 @@ class TestComplexity:
     def test_step_poly_fixture(self):
         # regression values pinned from the first correct run (exact expansion)
         q = step_poly(StepSpec(rho=0.05, delta=0.8, eps1=0.01))
-        rep = complexity_measures(q, eps1=0.01, base_constant=2.0)
+        rep = complexity_measures(q, eps1=0.01)
         assert rep.c_eps == pytest.approx(1.5640969199435863e92, rel=1e-9)
         assert rep.c_plain == pytest.approx(1.0371673648781376e49, rel=1e-9)
 
@@ -335,8 +335,6 @@ class TestComplexity:
         p = _exact_poly([0, 1])
         with pytest.raises(ValueError):
             complexity_measures(p, eps1=1.5)
-        with pytest.raises(ValueError):
-            complexity_measures(p, eps1=0.1, base_constant=1.0)
 
 
 def _two_point_dataset():

@@ -2,13 +2,21 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from robust_overparam.adversary import AttackConfig, make_adversary, random_cap_point
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
-from robust_overparam.network import InitSnapshot, forward_real, init_network
+from robust_overparam.network import (
+    InitSnapshot,
+    coupling_scan,
+    forward_pseudo,
+    forward_real,
+    init_network,
+    perturbed_state,
+)
 from robust_overparam.rng import stream
 from robust_overparam.training import (
     _FIT_TILE,
@@ -202,6 +210,31 @@ class TestAdversarialTrain:
         assert res.trace.standard_loss[1] == standard_loss(st.with_weights(one.final_W), ds, loss)
         assert res.trace.standard_loss[1] != res.trace.standard_loss[0]
 
+    def test_identity_coupling_sample_is_the_forward_gap(self):
+        # with no attack the coupling sample is max |f - g| over the training
+        # set at that row's pre-update weights, bit for bit as forward_real and
+        # forward_pseudo give it, and coupling_scan's gap up to rounding
+        st, ds, loss, _ = self._setup()
+        identity = make_adversary("identity", AttackConfig(rho=0.05))
+        hp = HyperParams(T=4, eta=0.05, R=1.0, eps=0.5)
+        res = adversarial_train(st, ds, identity, loss, hp)
+        for t in range(hp.T):
+            # row t's weights are the final weights of a t-step run
+            W = st.W if t == 0 else adversarial_train(st, ds, identity, loss, replace(hp, T=t)).final_W
+            cur = st.with_weights(W)
+            gap = float(np.max(np.abs(forward_real(cur, ds.X) - forward_pseudo(cur, ds.X))))
+            assert res.trace.coupling_sample[t] == gap
+            assert gap == pytest.approx(coupling_scan(cur, ds.X)[0], rel=1e-12, abs=0.0)
+        assert res.trace.coupling_sample[-1] != res.trace.coupling_sample[0]
+
+    def test_leaves_state_weights_unchanged(self):
+        st, ds, loss, adv = self._setup()
+        st = perturbed_state(st, 1.0, seed=40)  # a writable W apart from W0
+        W = st.W.copy()
+        res = adversarial_train(st, ds, adv, loss, HyperParams(T=2, eta=0.05, R=1.0, eps=0.5))
+        assert np.array_equal(st.W, W)
+        assert not np.array_equal(res.final_W, W)
+
     def test_nan_step_size_is_a_violation(self):
         # a NaN drift or gradient norm fails `x <= bound`, so it is recorded
         st, ds, loss, adv = self._setup(m=64)
@@ -234,10 +267,7 @@ class TestFitPseudo:
 
     def test_degenerate_features(self):
         d, m = 4, 8
-        snap = InitSnapshot(
-            W0=np.zeros((d, m)), b0=np.full(m, -10.0), a0=np.full(m, m ** (-1 / 3)),
-            m=m, d=d, seed=0,
-        )
+        snap = InitSnapshot(W0=np.zeros((d, m)), b0=np.full(m, -10.0), a0=np.full(m, m ** (-1 / 3)))
         S = uniform_domain_sample(5, d, stream(0, "s"))
         with pytest.raises(FitDegenerateError):
             fit_pseudo_to_target(snap, lambda X: np.ones(len(X)), S)
@@ -311,7 +341,7 @@ class TestFitPseudo:
         st = init_network(64, 4, seed=54)
         a0 = st.init.a0.copy()
         a0[3] *= 2.0
-        snap = InitSnapshot(W0=st.init.W0, b0=st.init.b0, a0=a0, m=64, d=4, seed=54)
+        snap = InitSnapshot(W0=st.init.W0, b0=st.init.b0, a0=a0)
         S = uniform_domain_sample(10, 4, stream(54, "s"))
         with pytest.raises(ValueError, match="same magnitude"):
             fit_pseudo_to_target(snap, np.ones(10), S)
