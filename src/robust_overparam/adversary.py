@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataspace import HEAD_RADIUS, validate_domain
-from .network import NetworkState, _loss_slopes, _Workspace
+from .network import NetworkState, _Workspace
 from .rng import stream
 
 _PROJECT_TOL = 1e-9
@@ -54,7 +54,7 @@ def input_gradient(state: NetworkState, x, y, loss) -> np.ndarray:
     single = x.ndim == 1
     X = np.atleast_2d(x)
     ws = _Workspace(state, len(X))
-    g = ws.input_gradient(_loss_slopes(loss, ws.forward(X), np.atleast_1d(y)))
+    g = ws.input_gradient(loss.slope(ws.forward(X), np.atleast_1d(y)))
     return g[0] if single else g
 
 
@@ -188,8 +188,8 @@ def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0) -> np.ndarr
         for rows in blocks:
             preds[rows] = ws.forward(cur[rows])
             if not last:
-                grad[rows] = ws.input_gradient(_loss_slopes(loss, preds[rows], y))
-        losses = np.asarray(loss.value(preds, ys), dtype=float)
+                grad[rows] = ws.input_gradient(loss.slope(preds[rows], y))
+        losses = loss.value(preds, ys)
         if t == 0:
             # every (restart, example) starts from the clean point and loss
             out_l = losses[:n].copy()
@@ -203,10 +203,9 @@ def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0) -> np.ndarr
 
 
 def _consider(cur, losses, best_x, best_l):
-    l = np.asarray(losses, dtype=float)
-    upd = l > best_l
+    upd = losses > best_l
     if upd.any():
-        best_l[upd] = l[upd]
+        best_l[upd] = losses[upd]
         best_x[upd] = cur[upd]
 
 

@@ -133,14 +133,13 @@ def synth_separated(
     d: int,
     delta_min: float,
     seed: int,
-    labels=None,
     max_attempts: int = 200_000,
 ) -> Dataset:
     """Rejection-sample n domain points with pairwise distance >= delta_min.
 
     Heads are uniform on the radius-sqrt(3)/2 sphere in the first d-1
     coordinates; a candidate is kept only if far enough from all accepted
-    points.  Labels default to alternating +-1.
+    points.  Labels alternate +-1.
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
@@ -163,12 +162,8 @@ def synth_separated(
         x = np.append(head * (HEAD_RADIUS / norm), 0.5)
         if all(np.linalg.norm(x - p) >= delta_min for p in accepted):
             accepted.append(x)
-    X = np.vstack(accepted)
-    if labels is None:
-        y = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
-    else:
-        y = np.asarray(labels, dtype=float)
-    return Dataset(X, y)
+    y = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
+    return Dataset(np.vstack(accepted), y)
 
 
 def uniform_domain_sample(count: int, d: int, rng) -> np.ndarray:

@@ -548,14 +548,18 @@ def _config_path(argv) -> str | None:
     return pre.parse_known_args(argv)[0].config
 
 
-def _check_distinct_outputs(args) -> None:
-    """Refuse two output flags that name one file, of which only one body would be kept."""
+def _check_distinct_outputs(args, parser) -> None:
+    """Refuse an output flag that names the file of another output, the input or --config.
+
+    Only one of two output bodies would be kept, and an input would be
+    overwritten.  Flags are named as parser spells them (--data for train).
+    """
+    flags = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
     dests = {}
-    for dest in (d for d in _OUTPUTS if getattr(args, d, None) is not None):
+    for dest in (d for d in ("input", "config", *_OUTPUTS) if getattr(args, d, None) is not None):
         other = dests.setdefault(os.path.realpath(getattr(args, dest)), dest)
-        if other != dest:
-            flags = f"--{other} and --{dest}".replace("_", "-")
-            raise _UsageError(f"{flags} name the same file {getattr(args, dest)!r}")
+        if other != dest and dest in _OUTPUTS:
+            raise _UsageError(f"{flags[other]} and {flags[dest]} name the same file {getattr(args, dest)!r}")
 
 
 def run(argv=None) -> int:
@@ -587,7 +591,7 @@ def run(argv=None) -> int:
                 if action.dest in defaults:
                     action.required = False
         args = parser.parse_args(argv)
-        _check_distinct_outputs(args)
+        _check_distinct_outputs(args, subparser_map[args.command])
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return 2

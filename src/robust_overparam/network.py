@@ -7,8 +7,9 @@ linear in W - W0.  Operations here compute forwards, loss (sub)gradients in W,
 the (2,inf) drift, and the empirical gap between network and pseudo-network.
 
 Both coupling diagnostics stream over the hidden units, coupling_scan in
-cache-sized tiles and gradient_coupling_ratio in unit tiles, so a coupling
-cell holds W0, W, one W - W0 and one n x m buffer, and no d x m gradient.
+cache-sized tiles and gradient_coupling_ratio in unit tiles, each forming
+W - W0 one tile at a time, so a coupling cell holds W0, W and one n x m
+buffer, and no d x m difference or gradient.
 """
 from __future__ import annotations
 
@@ -163,10 +164,6 @@ def forward_pseudo(state: NetworkState, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _loss_slopes(loss, preds: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.asarray(loss.slope(preds, y), dtype=float)
-
-
 def _batch(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -183,14 +180,14 @@ def grad_loss_real(state: NetworkState, X, y, loss) -> np.ndarray:
     """
     X, y = _batch(X, y)
     ws = _Workspace(state, len(X))
-    return ws.weight_gradient(X, _loss_slopes(loss, ws.forward(X), y))
+    return ws.weight_gradient(X, loss.slope(ws.forward(X), y))
 
 
 def grad_loss_pseudo(state: NetworkState, X, y, loss) -> np.ndarray:
     """Same as grad_loss_real but through g: frozen indicators, slopes at g."""
     X, y = _batch(X, y)
     ws = _Workspace(state, len(X))
-    return ws.weight_gradient(X, _loss_slopes(loss, ws.pseudo_forward(X), y))
+    return ws.weight_gradient(X, loss.slope(ws.pseudo_forward(X), y))
 
 
 def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
@@ -208,9 +205,9 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     X, y = _batch(X, y)
     init = state.init
     ws = _Workspace(state, len(X))
-    slopes = _loss_slopes(loss, ws.forward(X), y)
+    slopes = loss.slope(ws.forward(X), y)
     mask0 = np.empty_like(ws.mask)
-    pseudo_slopes = _loss_slopes(loss, ws.pseudo_forward(X, mask0), y)
+    pseudo_slopes = loss.slope(ws.pseudo_forward(X, mask0), y)
     real_norms, diff_norms = np.empty(init.m), np.empty(init.m)
     for c in _unit_tiles(init.m):
         g_real = _weight_gradient(X, slopes, init.a0[c], ws.mask[:, c], ws.act[:, c])
@@ -222,14 +219,16 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     return float(diff_norms.sum()) / denom if denom > 0 else float("inf")
 
 
-def _scan_block(init: InitSnapshot, dW: np.ndarray, X: np.ndarray, cols: int, bufs):
+def _scan_block(state: NetworkState, X: np.ndarray, cols: int):
     """One row block's (max |f - g|, flip mask), in tiles of cols units.
 
-    bufs are four flat tile workspaces (float, float, bool, bool) of at
-    least len(X) * cols elements, the block's own while it runs, so blocks
-    can run on any thread; its f - g is the sum of its tiles' matvecs, in
-    column order.
+    The block makes its own four tile buffers (float, float, bool, bool), so
+    blocks can run on any thread, and forms each tile's W - W0 as a d x cols
+    difference instead of reading one d x m W - W0; its f - g is the sum of
+    its tiles' matvecs, in column order.
     """
+    init = state.init
+    bufs = [np.empty(len(X) * cols, dtype=t) for t in (float, float, bool, bool)]
     diff = np.zeros(len(X))
     flipped = np.empty(init.m, dtype=bool)
     for c0 in range(0, init.m, cols):
@@ -239,7 +238,7 @@ def _scan_block(init: InitSnapshot, dW: np.ndarray, X: np.ndarray, cols: int, bu
         np.matmul(X, init.W0[:, c], out=pre)
         pre += init.b0[c]
         np.greater_equal(pre, 0.0, out=on0)
-        np.matmul(X, dW[:, c], out=shift)
+        np.matmul(X, state.W[:, c] - init.W0[:, c], out=shift)
         pre += shift
         np.greater_equal(pre, 0.0, out=on)
         np.not_equal(on, on0, out=on)
@@ -266,29 +265,13 @@ def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarr
     _TILE // min(_CHUNK, len(sample)) columns that stay in cache.  map runs
     the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
     combine by a NaN-propagating max and masks by an OR: no bit depends on map.
-    A block takes a spare set of tile buffers, or makes one if none is
-    spare, and returns it when done, so the scan makes one set per block
-    that runs at the same time.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise ValueError("empty sample")
-    init = state.init
-    dW = state.W - init.W0
-    rows = min(_CHUNK, len(sample))
-    cols = max(1, _TILE // rows)
-    spares = []  # list.pop and list.append are atomic, so threads share it safely
-
-    def block(lo):
-        try:
-            bufs = spares.pop()
-        except IndexError:
-            bufs = [np.empty(rows * cols, dtype=t) for t in (float, float, bool, bool)]
-        result = _scan_block(init, dW, sample[lo : lo + _CHUNK], cols, bufs)
-        spares.append(bufs)
-        return result
-
-    gaps, flips = zip(*map(block, range(0, len(sample), _CHUNK)))
+    cols = max(1, _TILE // min(_CHUNK, len(sample)))
+    blocks = range(0, len(sample), _CHUNK)
+    gaps, flips = zip(*map(lambda lo: _scan_block(state, sample[lo : lo + _CHUNK], cols), blocks))
     return float(np.max(gaps)), np.logical_or.reduce(flips)  # max() would drop a NaN gap
 
 

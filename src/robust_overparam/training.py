@@ -17,7 +17,6 @@ from .dataspace import Dataset
 from .network import (
     InitSnapshot,
     NetworkState,
-    _loss_slopes,
     _unit_tiles,
     _Workspace,
     drift_2inf,
@@ -43,28 +42,21 @@ class AbsoluteLoss:
 
 
 class HuberLoss:
-    """Huber loss with quadratic width kappa <= 1, keeping it 1-Lipschitz."""
-
-    def __init__(self, kappa: float = 1.0):
-        if not 0 < kappa <= 1:
-            raise ValueError("kappa must be in (0, 1]")
-        self.kappa = kappa
+    """Huber loss with quadratic width 1: r^2 / 2 for |r| <= 1, else |r| - 1/2; 1-Lipschitz."""
 
     def value(self, pred, y):
         r = np.asarray(pred, dtype=float) - y
-        k = self.kappa
-        return np.where(np.abs(r) <= k, r * r / (2.0 * k), np.abs(r) - k / 2.0)
+        return np.where(np.abs(r) <= 1.0, r * r / 2.0, np.abs(r) - 0.5)
 
     def slope(self, pred, y):
-        r = np.asarray(pred, dtype=float) - y
-        return np.clip(r / self.kappa, -1.0, 1.0)
+        return np.clip(np.asarray(pred, dtype=float) - y, -1.0, 1.0)
 
 
-def make_loss(tag: str, kappa: float = 1.0):
+def make_loss(tag: str):
     if tag == "absolute":
         return AbsoluteLoss()
     if tag == "huber":
-        return HuberLoss(kappa)
+        return HuberLoss()
     raise ValueError(f"unknown loss {tag!r}; expected 'absolute' or 'huber'")
 
 
@@ -184,7 +176,7 @@ def adversarial_train(
         std = float(np.mean(loss.value(ws.forward(dataset.X), dataset.y)))
         preds = ws.forward(Xt)
         rob = float(np.mean(loss.value(preds, dataset.y)))
-        grad = ws.weight_gradient(Xt, _loss_slopes(loss, preds, dataset.y))
+        grad = ws.weight_gradient(Xt, loss.slope(preds, dataset.y))
         gap = float(np.max(np.abs(preds - ws.pseudo_forward(Xt))))
         del ws
 

@@ -113,10 +113,6 @@ class TestSynthSeparated:
         ds = synth_separated(5, 4, 0.3, seed=1)
         assert np.array_equal(ds.y, [1.0, -1.0, 1.0, -1.0, 1.0])
 
-    def test_custom_labels(self):
-        ds = synth_separated(3, 4, 0.3, seed=1, labels=[0.5, -0.25, 0.0])
-        assert np.array_equal(ds.y, [0.5, -0.25, 0.0])
-
     def test_domain_invariants(self):
         validate_domain(synth_separated(15, 6, 0.4, seed=2).X)
 

@@ -385,7 +385,7 @@ class TestCouplingCommand:
             assert row[1] == "0.0" and row[4] == "0.0"  # W = W0: no unit flips
 
     def test_cell_memory(self, monkeypatch):
-        # W0, W and W - W0 for the scan, one 20 x m batch buffer for the
+        # W0 and W, tile buffers for the scan, one 20 x m batch buffer for the
         # gradient ratio: under 5 d x m arrays, where full-width gradients took 7.3
         monkeypatch.setenv(harness.THREADS_ENV, "2")
         m, d = 65536, 16
@@ -716,6 +716,33 @@ class TestOutputsNameOneFile:
         flags = ("--out", "--hist") if argv[0] == "separability" else ("--out", "--grad-out")
         assert err["error"] == "usage" and all(flag in err["message"] for flag in flags)
         assert os.listdir(tmp_path) == []
+
+
+class TestOutputNamesAnInput:
+    """An output flag that names the input or --config file is refused, and that file keeps its bytes."""
+
+    DATA = b"f0,f1,label\n0.6,0.1,1\n-0.2,0.7,-1\n0.1,-0.6,1\n"
+    CONFIG = b'{"m": 64, "R": 1, "attack_steps": 2}'
+
+    @pytest.mark.parametrize("argv,name,data,flags", [
+        (["separability", "--input", "d.csv", "--rho", "0.05", "--out", "d.csv"], "d.csv", DATA, ("--input", "--out")),
+        (
+            ["train", "--data", "d.csv", "--rho", "0.05", "--eps", "0.5", "--m", "64", "--R", "1",
+             "--attack-steps", "2", "--trace", "./d.csv"],
+            "d.csv", DATA, ("--data", "--trace"),
+        ),
+        (SMALL_TRAIN + ["--config", "c.json", "--summary", "c.json"], "c.json", CONFIG, ("--config", "--summary")),
+    ], ids=["separability-input-out", "train-data-trace", "train-config-summary"])
+    def test_exit_two_and_input_kept(self, argv, name, data, flags, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(data)
+        assert run(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "usage" and all(flag in err["message"] for flag in flags)
+        assert os.listdir(tmp_path) == [name]
+        assert (tmp_path / name).read_bytes() == data
 
 
 class TestUnallocatableSize:

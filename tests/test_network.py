@@ -2,12 +2,11 @@
 
 import concurrent.futures
 import math
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from robust_overparam import network
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     _CHUNK,
@@ -518,31 +517,28 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         assert np.array_equal(flipped, serial_flipped)
         return gap, flipped
 
-    def test_many_blocks_reuse_buffer_sets(self, monkeypatch):
-        # 16 row blocks, the last one 160 rows, on two workers: each buffer set
-        # serves many blocks, and never two at the same time
-        in_use, seen, lock = set(), set(), threading.Lock()
-        scan_block = network._scan_block
-
-        def checked(init, dW, X, cols, bufs):
-            with lock:
-                assert id(bufs[0]) not in in_use
-                in_use.add(id(bufs[0]))
-                seen.add(id(bufs[0]))
-            try:
-                return scan_block(init, dW, X, cols, bufs)
-            finally:
-                with lock:
-                    in_use.discard(id(bufs[0]))
-
-        monkeypatch.setattr(network, "_scan_block", checked)
+    def test_many_blocks_match_reference(self):
+        # 16 row blocks, the last one 160 rows, on two workers
         st = perturbed_state(init_network(4096, 16, seed=25), 2.0, seed=25)
         X = uniform_domain_sample(4000, 16, stream(25, "scan"))
         gap, flipped = coupling_scan(st, X, map=self.pool.map)
-        assert len(seen) <= 2
         ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
         assert gap == ref_gap
         assert np.array_equal(flipped, ref_flipped)
+
+    def test_scan_allocates_no_d_by_m_array(self):
+        # each block's four tile buffers take 1.1 MiB and its flip mask m
+        # bytes, about 0.44 d x m here; a whole W - W0 alone would be one
+        m, d = 65536, 16
+        st = perturbed_state(init_network(m, d, seed=26), 2.0, seed=26)
+        X = uniform_domain_sample(4000, d, stream(26, "scan"))
+        tracemalloc.start()
+        try:
+            coupling_scan(st, X, map=self.pool.map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * d * m * 8
 
 
 class TestAntiConcentration:
