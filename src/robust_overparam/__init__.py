@@ -4,9 +4,9 @@ two-layer ReLU networks on the constrained sphere domain."""
 __version__ = "0.1.0"
 
 from .adversary import (
+    Adversary,
     AttackConfig,
     input_gradient,
-    make_adversary,
     project_to_cap,
 )
 from .dataspace import (

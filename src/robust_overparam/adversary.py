@@ -1,14 +1,13 @@
 """rho-bounded adversaries on the sphere-cap domain.
 
 The feasible set for a perturbation of x is B_2(x, rho) intersected with the
-domain X.  An adversary is one type, Adversary(name, cfg), made by
-make_adversary(name, cfg), that perturbs a batch with .perturb(state, X, y,
-loss, tag).  The "worst" adversary (attack_batch) approximates the worst
-case by multi-restart projected gradient ascent; the "random" and
-"identity" baselines are rho-bounded by construction.  Per-example
-randomness is keyed by (seed, tag, example index, restart) so attacks are
-reproducible under any scheduling and larger restart counts extend, not
-reshuffle, smaller ones.
+domain X.  An adversary is one type, Adversary(name, cfg), that perturbs a
+batch with .perturb(state, X, y, loss, tag).  The "worst" adversary
+(attack_batch) approximates the worst case by multi-restart projected
+gradient ascent; the "random" and "identity" baselines are rho-bounded by
+construction.  Per-example randomness is keyed by (seed, tag, example
+index, restart) so attacks are reproducible under any scheduling and larger
+restart counts extend, not reshuffle, smaller ones.
 
 The restarts of attack_batch advance in lockstep, but the network is
 evaluated one restart at a time on one n-row network._Workspace, allocated
@@ -234,7 +233,3 @@ class Adversary:
             return X.copy()
         rngs = [stream(self.cfg.seed, "attack-rand", tag, i) for i in range(len(X))]
         return _random_cap_batch(X, self.cfg.rho, rngs)
-
-
-def make_adversary(name: str, cfg: AttackConfig) -> Adversary:
-    return Adversary(name, cfg)

@@ -47,7 +47,7 @@ class Dataset:
             raise ValueError("X must be a 2-D array of row points")
         if self.y.shape != (self.X.shape[0],):
             raise ValueError("labels must be a vector of length n")
-        if self.X.shape[0] and np.max(np.abs(self.y)) > 1.0 + 1e-12:
+        if not np.all(np.abs(self.y) <= 1.0 + 1e-12):  # so that a NaN label fails
             raise ValueError("labels must satisfy |y_i| <= 1")
         validate_domain(self.X)
 

@@ -30,7 +30,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .adversary import ADVERSARIES, AttackConfig, _random_cap_batch, make_adversary
+from .adversary import ADVERSARIES, Adversary, AttackConfig, _random_cap_batch
 from .dataspace import (
     Dataset,
     SeparabilityError,
@@ -268,7 +268,7 @@ def _run_train(args, ds, m: int, seed: int):
             f"training set not separable for rho={args.rho}: delta={rep.delta:.4g}"
         )
     cfg = AttackConfig(rho=args.rho, steps=args.attack_steps, restarts=args.attack_restarts, seed=seed)
-    adv = make_adversary(args.attack, cfg)
+    adv = Adversary(args.attack, cfg)
     hp = schedule(args.eps, args.R, m, c_T=args.c_T, c_eta=args.c_eta)
     state = init_network(m, ds.d, seed)
     return state, adversarial_train(state, ds, adv, make_loss(args.loss), hp)
@@ -521,22 +521,6 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
-def _config_value(action, key: str, value):
-    """A --config value parsed as its flag's text would be: through its type and choices."""
-    if value is None and action.default is None and not action.required:
-        return None
-    if action.type is not None:
-        if isinstance(value, list) and action.type in (int_list, float_list):
-            value = ",".join(str(v) for v in value)
-        try:
-            value = action.type(value if isinstance(value, str) else str(value))
-        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-            raise _UsageError(f"config key {key!r}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
-        raise _UsageError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
-    return value
-
-
 def _config_path(argv) -> str | None:
     """The --config file named in argv, in every spelling argparse accepts.
 
@@ -548,13 +532,18 @@ def _config_path(argv) -> str | None:
     return pre.parse_known_args(argv)[0].config
 
 
+def _flags(parser) -> dict:
+    """{dest: first option string} of every option flag of parser but --help."""
+    return {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
 def _check_distinct_outputs(args, parser) -> None:
     """Refuse an output flag that names the file of another output, the input or --config.
 
     Only one of two output bodies would be kept, and an input would be
     overwritten.  Flags are named as parser spells them (--data for train).
     """
-    flags = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
+    flags = _flags(parser)
     dests = {}
     for dest in (d for d in ("input", "config", *_OUTPUTS) if getattr(args, d, None) is not None):
         other = dests.setdefault(os.path.realpath(getattr(args, dest)), dest)
@@ -569,27 +558,29 @@ def run(argv=None) -> int:
     try:
         path = _config_path(argv)
         if path is not None:
-            # config files supply defaults; explicit flags still win
+            # each config value becomes the token its flag would be typed as,
+            # right after the command, so explicit flags later in argv still win
             try:
                 with open(path) as fh:
-                    defaults = json.load(fh)
+                    values = json.load(fh)
             except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 or not JSON
                 raise _UsageError(f"bad --config: {exc}") from None
-            if not isinstance(defaults, dict):
+            if not isinstance(values, dict):
                 raise _UsageError(f"bad --config: {path} does not hold a JSON object")
             command = next((a for a in argv if not a.startswith("-")), None)
             if command not in subparser_map:
                 raise _UsageError(f"unknown command for --config: {command!r}")
-            actions = {a.dest: a for a in subparser_map[command]._actions}
-            bad = set(defaults) - set(actions)
+            flags = _flags(subparser_map[command])
+            bad = set(values) - set(flags)
             if bad:
                 raise _UsageError(f"unknown config keys: {sorted(bad)}")
-            subparser_map[command].set_defaults(
-                **{key: _config_value(actions[key], key, value) for key, value in defaults.items()}
-            )
-            for action in subparser_map[command]._actions:
-                if action.dest in defaults:
-                    action.required = False
+            tokens = [
+                f"{flags[key]}={','.join(map(str, value)) if isinstance(value, list) else value}"
+                for key, value in values.items()
+                if value is not None
+            ]
+            at = argv.index(command) + 1
+            argv = [*argv[:at], *tokens, *argv[at:]]
         args = parser.parse_args(argv)
         _check_distinct_outputs(args, subparser_map[args.command])
     except _UsageError as exc:

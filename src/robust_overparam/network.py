@@ -262,14 +262,15 @@ def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarr
         flip  = 1{p0 + s >= 0} != 1{p0 >= 0}.
 
     Rows are scanned in blocks of _CHUNK by _scan_block, each in tiles of
-    _TILE // min(_CHUNK, len(sample)) columns that stay in cache.  map runs
+    _TILE // max(min(_CHUNK, len(sample)), d) columns that stay in cache:
+    neither a tile nor its d x cols W - W0 outgrows _TILE elements.  map runs
     the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
     combine by a NaN-propagating max and masks by an OR: no bit depends on map.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise ValueError("empty sample")
-    cols = max(1, _TILE // min(_CHUNK, len(sample)))
+    cols = max(1, _TILE // max(min(_CHUNK, len(sample)), state.init.d))
     blocks = range(0, len(sample), _CHUNK)
     gaps, flips = zip(*map(lambda lo: _scan_block(state, sample[lo : lo + _CHUNK], cols), blocks))
     return float(np.max(gaps)), np.logical_or.reduce(flips)  # max() would drop a NaN gap

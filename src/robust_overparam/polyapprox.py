@@ -600,7 +600,9 @@ def robust_interpolant(dataset: Dataset, spec: StepSpec) -> RobustInterpolant:
     Preconditions: labels bounded by 1 and measured pairwise separation at
     least spec.delta with spec.delta - 2 rho > 0.
     """
-    if np.max(np.abs(dataset.y)) > 1.0 + 1e-12:
+    if dataset.n == 0:
+        raise ValueError("empty dataset")
+    if not np.all(np.abs(dataset.y) <= 1.0 + 1e-12):  # so that a NaN label fails
         raise ValueError("labels must satisfy |y_i| <= 1")
     if dataset.n >= 2:
         rep = separability(dataset, spec.rho)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import robust_overparam as ro
-from robust_overparam.adversary import AttackConfig, make_adversary, random_cap_point
+from robust_overparam.adversary import Adversary, AttackConfig, random_cap_point
 from robust_overparam.dataspace import synth_separated
 from robust_overparam.harness import build_fit_instance, run
 from robust_overparam.network import (
@@ -104,7 +104,7 @@ def training_run(instance):
     t0 = time.monotonic()
     loss = make_loss("absolute")
     state = init_network(M_TRAIN, D, SEED)
-    adv = make_adversary("worst", AttackConfig(rho=RHO, steps=20, restarts=3, seed=SEED))
+    adv = Adversary("worst", AttackConfig(rho=RHO, steps=20, restarts=3, seed=SEED))
     hp = schedule(EPS, 2.0, M_TRAIN, c_T=1.0, c_eta=1.0)
     result = adversarial_train(state, instance.ds, adv, loss, hp)
     return TrainingRun(state, adv, loss, hp, result, time.monotonic() - t0)

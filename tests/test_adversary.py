@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from robust_overparam.adversary import (
+    Adversary,
     AttackConfig,
     attack_batch,
     input_gradient,
-    make_adversary,
     project_to_cap,
     random_cap_point,
 )
@@ -139,7 +139,7 @@ class TestWorstCaseAttack:
         st = init_network(32, 5, seed=15)
         x = uniform_domain_sample(1, 5, stream(15, "x"))[0]
         cfg = AttackConfig(rho=0.1, steps=0, restarts=1, seed=0)
-        out = make_adversary("worst", cfg).perturb(st, x, 1.0, LOSS)
+        out = Adversary("worst", cfg).perturb(st, x, 1.0, LOSS)
         assert np.array_equal(out[0], x)
 
     def test_feasible_and_on_domain(self):
@@ -165,14 +165,14 @@ class TestWorstCaseAttack:
         x = uniform_domain_sample(1, 6, stream(17, "x"))[0]
         cfg2 = AttackConfig(rho=0.1, restarts=2, seed=5)
         cfg5 = AttackConfig(rho=0.1, restarts=5, seed=5)
-        l2 = LOSS.value(forward_real(st, make_adversary("worst", cfg2).perturb(st, x, 1.0, LOSS)[0]), 1.0)
-        l5 = LOSS.value(forward_real(st, make_adversary("worst", cfg5).perturb(st, x, 1.0, LOSS)[0]), 1.0)
+        l2 = LOSS.value(forward_real(st, Adversary("worst", cfg2).perturb(st, x, 1.0, LOSS)[0]), 1.0)
+        l5 = LOSS.value(forward_real(st, Adversary("worst", cfg5).perturb(st, x, 1.0, LOSS)[0]), 1.0)
         assert l5 >= l2 - 1e-15
 
     def test_deterministic(self):
         st = init_network(64, 6, seed=18)
         x = uniform_domain_sample(1, 6, stream(18, "x"))[0]
-        adv = make_adversary("worst", AttackConfig(rho=0.1, seed=2))
+        adv = Adversary("worst", AttackConfig(rho=0.1, seed=2))
         a = adv.perturb(st, x, -1.0, LOSS, tag=3)
         b = adv.perturb(st, x, -1.0, LOSS, tag=3)
         assert np.array_equal(a, b)
@@ -199,12 +199,12 @@ class TestWorstCaseAttack:
         cand = np.vstack([random_cap_point(x, 0.1, rng) for _ in range(100_000)])
         oracle = float(np.max(LOSS.value(forward_real(st, cand), y)))
         cfg = AttackConfig(rho=0.1, steps=20, restarts=3, seed=4)
-        ours = float(LOSS.value(forward_real(st, make_adversary("worst", cfg).perturb(st, x, y, LOSS)[0]), y))
+        ours = float(LOSS.value(forward_real(st, Adversary("worst", cfg).perturb(st, x, y, LOSS)[0]), y))
         assert ours >= 0.98 * oracle
 
     def test_rejects_off_domain_input(self):
         st = init_network(8, 3, seed=20)
-        adv = make_adversary("worst", AttackConfig(rho=0.1))
+        adv = Adversary("worst", AttackConfig(rho=0.1))
         with pytest.raises(ValueError):
             adv.perturb(st, np.array([1.0, 0.0, 0.0]), 1.0, LOSS)
         with pytest.raises(ValueError):
@@ -304,7 +304,7 @@ class TestAttackPinned:
     def test_random_adversary_matches_per_example(self):
         st, X, y = self._setup(24)
         cfg = AttackConfig(rho=0.3, seed=10)
-        adv = make_adversary("random", cfg)
+        adv = Adversary("random", cfg)
         out = adv.perturb(st, X, y, LOSS, tag=5)
         ref = np.vstack(
             [random_cap_point(X[i], cfg.rho, stream(cfg.seed, "attack-rand", 5, i)) for i in range(len(X))]
@@ -316,13 +316,13 @@ class TestAttackPinned:
 class TestBaselines:
     def test_identity(self):
         x = np.array([R, 0.0, 0.5])
-        out = make_adversary("identity", AttackConfig(rho=0.1)).perturb(None, x, 1.0, LOSS)
+        out = Adversary("identity", AttackConfig(rho=0.1)).perturb(None, x, 1.0, LOSS)
         assert np.array_equal(out, x[None, :])
 
     def test_random_feasible_and_deterministic(self):
         # two copies of x, so row 1 draws from the example-index-1 stream
         X = np.array([[R, 0.0, 0.5]] * 2)
-        adv = make_adversary("random", AttackConfig(rho=0.15, seed=9))
+        adv = Adversary("random", AttackConfig(rho=0.15, seed=9))
         a = adv.perturb(None, X, None, LOSS)
         b = adv.perturb(None, X, None, LOSS)
         assert np.array_equal(a, b)
@@ -331,19 +331,19 @@ class TestBaselines:
 
     @pytest.mark.parametrize("name", ["random", "identity"])
     def test_rejects_off_domain_input(self, name):
-        adv = make_adversary(name, AttackConfig(rho=0.1))
+        adv = Adversary(name, AttackConfig(rho=0.1))
         for x in ([1.0, 0.0, 0.0], [math.nan, math.nan, math.nan]):
             with pytest.raises(ValueError):
                 adv.perturb(None, np.array([x]), None, LOSS)
 
-    def test_make_adversary(self):
+    def test_construct_by_name(self):
         cfg = AttackConfig(rho=0.1)
         for name in ("worst", "random", "identity"):
-            adv = make_adversary(name, cfg)
+            adv = Adversary(name, cfg)
             assert adv.name == name
             assert adv.cfg is cfg
         with pytest.raises(ValueError):
-            make_adversary("nope", cfg)
+            Adversary("nope", cfg)
 
     def test_config_validation(self):
         for rho in (-1.0, math.nan, math.inf):

@@ -144,6 +144,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[R, 0.0, 0.5]]), np.array([2.0]))
 
+    def test_rejects_nan_label(self):
+        # `max |y| > 1` is False for a NaN label
+        with pytest.raises(ValueError, match="labels"):
+            Dataset(np.array([[R, 0.0, 0.5], [0.0, R, 0.5]]), np.array([1.0, math.nan]))
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):

@@ -553,6 +553,9 @@ class TestWithoutScipy:
 # small runs whose config keys the --config tests vary
 SMALL_COUPLING = ["coupling", "--samples", "100", "--d", "6"]
 SMALL_TRAIN = ["train", "--synth", "n=4,d=6,delta=0.8", "--rho", "0.05", "--eps", "0.5"]
+# the flag a bad config value's message names: the key's flag as typed
+TYPED_FLAG = {"seeds": "--seeds", "m_list": "--m-list", "R": "--R", "attack": "--attack", "m": "--m",
+              "c_eta": "--c-eta", "eps": "--eps"}
 
 
 class TestConfigFile:
@@ -619,20 +622,24 @@ class TestConfigFile:
         (SMALL_COUPLING, {"m_list": [64, "x"]}),
         (SMALL_TRAIN + ["--m", "64"], {"R": "two"}),
         (SMALL_TRAIN + ["--m", "64"], {"attack": "nope"}),
-        (SMALL_TRAIN, {"m": None}),
+        (SMALL_TRAIN, {"m": None}),  # null keeps the default: a required flag is missing
     ])
     def test_bad_config_value_is_usage_error(self, argv, cfg_value, tmp_path, capsys):
+        # a config value is parsed as its flag typed by hand, so the message names the flag
         cfg, out = tmp_path / "cfg.json", tmp_path / "out"
         cfg.write_text(json.dumps(cfg_value))
         out_flag = "--out" if argv[0] == "coupling" else "--summary"
         assert run(argv + ["--config", str(cfg), out_flag, str(out)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "usage" and repr(next(iter(cfg_value))) in err["message"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "usage" and TYPED_FLAG[next(iter(cfg_value))] in err["message"]
         assert not out.exists()
 
 
 POLY = ["poly", "--delta", "0.8", "--rho", "0.05", "--eps1", "0.1"]
 SEP_SYNTH = ["separability", "--synth", "n=6,d=6,delta=0.8", "--rho", "0.05"]
+NAN_LABEL_CSV = b"f0,f1,label\n0.6,0.1,1\n-0.2,0.7,nan\n0.1,-0.6,1\n"
 
 
 class TestUsageErrorsNotTracebacks:
@@ -648,6 +655,15 @@ class TestUsageErrorsNotTracebacks:
         "empty-csv": (["separability", "--input", "e.csv", "--rho", "0.05", "--out", "s.json"], {"e.csv": b""}),
         "header-only-csv": (
             ["separability", "--input", "h.csv", "--rho", "0.05", "--out", "s.json"], {"h.csv": b"f0,label\n"}
+        ),
+        # a NaN label is refused as a label above 1 is (`max |y| > 1` is False for NaN)
+        "nan-label-separability": (
+            ["separability", "--input", "n.csv", "--rho", "0.05", "--out", "s.json"], {"n.csv": NAN_LABEL_CSV}
+        ),
+        "nan-label-train": (
+            ["train", "--data", "n.csv", "--rho", "0.05", "--eps", "0.5", "--m", "64", "--R", "1",
+             "--attack-steps", "2", "--trace", "t.csv"],
+            {"n.csv": NAN_LABEL_CSV},
         ),
         "config-number": (POLY + ["--config", "c.json"], {"c.json": b"5"}),
         "config-null": (POLY + ["--config", "c.json"], {"c.json": b"null"}),
@@ -799,9 +815,11 @@ class TestNonFiniteFloats:
         cfg.write_text(json.dumps(cfg_value))  # NaN / Infinity tokens, which json.load accepts
         out_flag = "--summary" if argv[0] == "train" else "--out"
         assert run(argv + ["--config", str(cfg), out_flag, str(out)]) == 2
-        err = json.loads(capsys.readouterr().err)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
         bad_key = [k for k, v in cfg_value.items() if isinstance(v, float)][0]
-        assert err["error"] == "usage" and repr(bad_key) in err["message"] and "finite" in err["message"]
+        assert err["error"] == "usage" and TYPED_FLAG[bad_key] in err["message"] and "finite" in err["message"]
         assert not out.exists()
 
 
@@ -832,20 +850,61 @@ PROVENANCE_RUNS = {
 }
 
 
+def _meta_of(path, kind):
+    text = _read(path)
+    return json.loads(text)["meta"] if kind == "json" else json.loads(text.split("\n")[0][len("# meta "):])
+
+
 class TestProvenance:
     @pytest.mark.parametrize("command", sorted(PROVENANCE_RUNS))
     def test_meta_holds_every_resolved_flag(self, command, tmp_path):
         flags, kind = PROVENANCE_RUNS[command]
         out = tmp_path / f"out.{kind}"
         assert run([command] + flags + [str(out)]) == 0
-        if kind == "json":
-            meta = json.loads(_read(out))["meta"]
-        else:
-            meta = json.loads(_read(out).split("\n")[0][len("# meta "):])
+        meta = _meta_of(out, kind)
         _, commands = build_parser()
         dests = {a.dest for a in commands[command]._actions} - {"help", "config"} - OUTPUT_FLAGS
         assert set(meta["config"]) == dests | {"command"}
         assert meta["config"]["command"] == command
+
+    @pytest.mark.parametrize("command", sorted(PROVENANCE_RUNS))
+    def test_config_of_meta_reruns_byte_identical(self, command, tmp_path):
+        # every resolved value, nulls and lists included, passed back through --config
+        flags, kind = PROVENANCE_RUNS[command]
+        out, rerun, cfg = tmp_path / f"out.{kind}", tmp_path / f"rerun.{kind}", tmp_path / "cfg.json"
+        assert run([command] + flags + [str(out)]) == 0
+        values = dict(_meta_of(out, kind)["config"])
+        del values["command"]
+        target = [values.pop("target")] if command == "sweep" else []
+        cfg.write_text(json.dumps(values))
+        assert run([command] + target + ["--config", str(cfg), flags[-1], str(rerun)]) == 0
+        assert _read(rerun) == _read(out)
+
+
+class TestConfigValuesAsFlags:
+    """A config value is the token its flag would be typed as: `--flag=value`, lists comma-joined."""
+
+    FIT = ["fit", "--n", "6", "--d", "6", "--pert-per-point", "2"]
+
+    @pytest.mark.parametrize("values", [{"ridge": None, "m": 128}, {"m": [128]}], ids=["null-ridge", "m-list-of-one"])
+    def test_same_bytes_as_flags(self, values, tmp_path):
+        # null keeps the flag's default; a one-element list is joined to its one value
+        flag_out, cfg_out, cfg = tmp_path / "flag.json", tmp_path / "cfg.json", tmp_path / "c.json"
+        assert run(self.FIT + ["--m", "128", "--out", str(flag_out)]) == 0
+        cfg.write_text(json.dumps(values))
+        assert run(self.FIT + ["--config", str(cfg), "--out", str(cfg_out)]) == 0
+        assert _read(cfg_out) == _read(flag_out)
+
+    def test_sweep_target_is_unknown_key(self, tmp_path, capsys):
+        # sweep's target is a positional and comes from the command line alone
+        cfg, out = tmp_path / "c.json", tmp_path / "s.csv"
+        cfg.write_text(json.dumps({"target": "fit", "m_list": [128]}))
+        assert run(["sweep", "fit", "--config", str(cfg), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "usage" and "unknown config keys: ['target']" in err["message"]
+        assert not out.exists()
 
 
 class TestAtomicWrite:

@@ -407,7 +407,7 @@ def _scan_reference(state, X, chunk=None):
     """The coupling_scan docstring formula in plain numpy, tiled as the scan tiles it.
 
     Rows go in blocks of `chunk`, and each block walks the units in tiles of
-    _TILE // rows columns, summing its tiles' one-matvec f - g in column
+    _TILE // max(rows, d) columns, summing its tiles' one-matvec f - g in column
     order.  With chunk=None the whole sample is one block and one tile.
     BLAS may block a larger matmul differently (at m = 300 a 700-row
     X @ W0 differs from its 256-row blocks in the last bit), and the sum
@@ -417,7 +417,7 @@ def _scan_reference(state, X, chunk=None):
     init = state.init
     dW = state.W - init.W0
     rows = min(chunk or len(X), len(X))
-    cols = max(1, _TILE // rows) if chunk else init.m
+    cols = max(1, _TILE // max(rows, init.d)) if chunk else init.m
     gaps, flips = [], []
     for lo in range(0, len(X), rows):
         Xc = X[lo : lo + rows]
@@ -464,8 +464,8 @@ class TestCouplingScanReference:
     @pytest.mark.parametrize("tiles", [0.5, 2, 2.25], ids=["below-one-tile", "whole-tiles", "ragged"])
     @pytest.mark.parametrize("n", [1, 257])
     def test_tile_edges(self, n, tiles):
-        # n = 1 gives one-row tiles _TILE wide; n = 257 gives 256 x 256 tiles and a one-row block
-        m = int(tiles * (_TILE // min(_CHUNK, n)))
+        # n = 1 gives one-row tiles _TILE // d wide; n = 257 gives 256 x 256 tiles and a one-row block
+        m = int(tiles * (_TILE // max(min(_CHUNK, n), 16)))
         st = perturbed_state(init_network(m, 16, seed=24), 2.0, seed=24)
         X = uniform_domain_sample(n, 16, stream(24, "scan", n))
         gap, flipped = self.scan(st, X)
@@ -539,6 +539,21 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * d * m * 8
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_few_rows_allocate_a_small_share_of_d_by_m(self, n):
+        # with fewer rows than d, _TILE // rows columns would make a tile's
+        # d x cols W - W0 larger than the tile: about 1.15 d x m at one row
+        m, d = 65536, 16
+        st = perturbed_state(init_network(m, d, seed=27), 2.0, seed=27)
+        X = uniform_domain_sample(n, d, stream(27, "scan", n))
+        tracemalloc.start()
+        try:
+            coupling_scan(st, X, map=self.pool.map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * d * m * 8
 
 
 class TestAntiConcentration:

@@ -383,6 +383,17 @@ class TestRobustInterpolant:
         with pytest.raises(SeparabilityError):
             robust_interpolant(ds, spec)
 
+    def test_nan_label_rejected(self):
+        ds = _two_point_dataset()
+        ds.y[1] = math.nan  # Dataset checked its labels when it was made
+        with pytest.raises(ValueError, match="labels"):
+            robust_interpolant(ds, StepSpec(rho=0.05, delta=1.7, eps1=0.05))
+
+    def test_empty_dataset_rejected(self):
+        ds = Dataset(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError, match="empty"):
+            robust_interpolant(ds, StepSpec(rho=0.05, delta=1.7, eps1=0.05))
+
     def test_metadata_reported(self):
         ds = _two_point_dataset()
         spec = StepSpec(rho=0.05, delta=1.7, eps1=0.05)

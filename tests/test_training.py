@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robust_overparam.adversary import AttackConfig, make_adversary, random_cap_point
+from robust_overparam.adversary import Adversary, AttackConfig, random_cap_point
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     InitSnapshot,
@@ -121,14 +121,14 @@ class TestLosses:
         st = init_network(64, 5, seed=33)
         ds = synth_separated(8, 5, 0.5, seed=33)
         loss = make_loss("absolute")
-        adv = make_adversary("identity", AttackConfig(rho=0.1))
+        adv = Adversary("identity", AttackConfig(rho=0.1))
         assert robust_loss(st, ds, adv, loss) == standard_loss(st, ds, loss)
 
     def test_worst_at_least_standard(self):
         st = init_network(64, 5, seed=34)
         ds = synth_separated(8, 5, 0.5, seed=34)
         loss = make_loss("absolute")
-        adv = make_adversary("worst", AttackConfig(rho=0.1, seed=2))
+        adv = Adversary("worst", AttackConfig(rho=0.1, seed=2))
         assert robust_loss(st, ds, adv, loss) >= standard_loss(st, ds, loss) - 1e-15
 
     def test_against_random_search_oracle(self):
@@ -142,7 +142,7 @@ class TestLosses:
             cand = np.vstack([random_cap_point(ds.X[i], rho, rng) for _ in range(100_000)])
             oracle_means.append(np.max(loss.value(forward_real(st, cand), ds.y[i])))
         oracle = float(np.mean(oracle_means))
-        adv = make_adversary("worst", AttackConfig(rho=rho, seed=3))
+        adv = Adversary("worst", AttackConfig(rho=rho, seed=3))
         ours = robust_loss(st, ds, adv, loss)
         assert abs(ours - oracle) <= 0.02 * oracle + 1e-9
 
@@ -152,7 +152,7 @@ class TestAdversarialTrain:
         st = init_network(m, d, seed)
         ds = synth_separated(n, d, 0.8, seed=seed)
         loss = make_loss("absolute")
-        adv = make_adversary("worst", AttackConfig(rho=0.05, seed=seed))
+        adv = Adversary("worst", AttackConfig(rho=0.05, seed=seed))
         return st, ds, loss, adv
 
     def test_zero_step_size_freezes_weights(self):
@@ -199,7 +199,7 @@ class TestAdversarialTrain:
         # with no attack the robust loss is the standard loss, and each row's
         # standard loss is standard_loss at that row's pre-update weights
         st, ds, loss, _ = self._setup()
-        identity = make_adversary("identity", AttackConfig(rho=0.05))
+        identity = Adversary("identity", AttackConfig(rho=0.05))
         hp = HyperParams(T=4, eta=0.05, R=1.0, eps=0.5)
         res = adversarial_train(st, ds, identity, loss, hp)
         assert res.trace.robust_loss == res.trace.standard_loss
@@ -213,7 +213,7 @@ class TestAdversarialTrain:
         # set at that row's pre-update weights, bit for bit as forward_real and
         # forward_pseudo give it, and coupling_scan's gap up to rounding
         st, ds, loss, _ = self._setup()
-        identity = make_adversary("identity", AttackConfig(rho=0.05))
+        identity = Adversary("identity", AttackConfig(rho=0.05))
         hp = HyperParams(T=4, eta=0.05, R=1.0, eps=0.5)
         res = adversarial_train(st, ds, identity, loss, hp)
         for t in range(hp.T):
@@ -370,6 +370,6 @@ def test_empty_dataset_rejected():
         standard_loss(st, empty, make_loss("absolute"))
     with pytest.raises(ValueError):
         adversarial_train(
-            st, empty, make_adversary("identity", AttackConfig(rho=0.1)),
+            st, empty, Adversary("identity", AttackConfig(rho=0.1)),
             make_loss("absolute"), HyperParams(T=1, eta=0.1, R=1.0, eps=0.5),
         )
