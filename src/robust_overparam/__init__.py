@@ -3,12 +3,7 @@ two-layer ReLU networks on the constrained sphere domain."""
 
 __version__ = "0.1.0"
 
-from .adversary import (
-    Adversary,
-    AttackConfig,
-    input_gradient,
-    project_to_cap,
-)
+from .adversary import Adversary, AttackConfig, input_gradient
 from .dataspace import (
     Dataset,
     SeparabilityError,
@@ -23,11 +18,8 @@ from .network import (
     anti_concentration_check,
     coupling_scan,
     drift_2inf,
-    forward_pseudo,
     forward_real,
-    grad_loss_pseudo,
     grad_loss_real,
-    gradient_coupling_norm,
     gradient_coupling_ratio,
     init_network,
 )
@@ -36,12 +28,10 @@ from .polyapprox import (
     ComplexityReport,
     Polynomial,
     StepSpec,
-    chebyshev_T,
     complexity_measures,
     compressed_power,
     compressed_sign_poly,
     robust_interpolant,
-    sign_poly,
     step_poly,
 )
 from .training import (
@@ -53,5 +43,4 @@ from .training import (
     make_loss,
     robust_loss,
     schedule,
-    standard_loss,
 )

@@ -57,22 +57,6 @@ def input_gradient(state: NetworkState, x, y, loss) -> np.ndarray:
     return g[0] if single else g
 
 
-def project_to_cap(z, center, rho: float) -> np.ndarray:
-    """Project z onto B_2(center, rho) intersected with the domain X.
-
-    One pass: pin the last coordinate, rescale the head onto its sphere,
-    and when the ball constraint is violated rotate the head along the
-    geodesic toward the center's head to the angle where the ball constraint
-    binds, which puts it at chord distance rho up to rounding.  Falls back
-    to the center for a head that still misses the ball by more than 1e-9,
-    such as a non-finite one or an antipodal one at d = 2.
-    """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    out = _project_cap_batch(np.atleast_2d(z), np.atleast_2d(center), rho)
-    return out[0] if single else out
-
-
 def _row_norms(A: np.ndarray) -> np.ndarray:
     # what np.linalg.norm(A, axis=1, keepdims=True) evaluates, bit for bit
     return np.sqrt(np.add.reduce(A * A, axis=1, keepdims=True))
@@ -89,6 +73,13 @@ def _rescale_heads(H: np.ndarray, fallback: np.ndarray) -> None:
 
 
 def _project_cap_batch(Z: np.ndarray, centers: np.ndarray, rho: float) -> np.ndarray:
+    """Project each row of Z onto B_2(its center, rho) intersected with the domain X.
+
+    Pin the last coordinate, rescale the head onto its sphere, and rotate a
+    head outside the ball along the geodesic toward the center's head to chord
+    distance rho.  A head still off by more than _PROJECT_TOL (non-finite, or
+    antipodal at d = 2) falls back to the center.
+    """
     Hc = centers[:, :-1]
     out = np.empty_like(Z)
     out[:, -1] = 0.5

@@ -132,7 +132,7 @@ def _fmt(v) -> str:
 
 def cmd_poly(args) -> dict:
     spec = StepSpec(rho=args.rho, delta=args.delta, eps1=args.eps1)
-    q = step_poly(spec, cert_grid=args.cert_grid)
+    q = step_poly(spec)
     cert = q.meta["certification"]
     payload = {
         "degree": q.degree,
@@ -449,7 +449,6 @@ def build_parser():
     poly.add_argument("--delta", type=finite_float, required=True)
     poly.add_argument("--rho", type=finite_float, required=True)
     poly.add_argument("--eps1", type=finite_float, required=True)
-    poly.add_argument("--cert-grid", type=int, default=10_000)
     poly.add_argument("--emit", type=str, default=None, help="write coeffs JSON here")
     poly.set_defaults(func=cmd_poly)
 

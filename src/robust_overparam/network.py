@@ -14,6 +14,7 @@ buffer, and no d x m difference or gradient.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,15 +156,6 @@ def forward_real(state: NetworkState, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def forward_pseudo(state: NetworkState, x) -> float | np.ndarray:
-    """g(x) = sum_r a_r <W_r - W0_r, x> 1{<W0_r, x> + b0_r >= 0}."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    out = _Workspace(state, len(X)).pseudo_forward(X)
-    return float(out[0]) if single else out
-
-
 def _batch(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -183,24 +175,18 @@ def grad_loss_real(state: NetworkState, X, y, loss) -> np.ndarray:
     return ws.weight_gradient(X, loss.slope(ws.forward(X), y))
 
 
-def grad_loss_pseudo(state: NetworkState, X, y, loss) -> np.ndarray:
-    """Same as grad_loss_real but through g: frozen indicators, slopes at g."""
-    X, y = _batch(X, y)
-    ws = _Workspace(state, len(X))
-    return ws.weight_gradient(X, loss.slope(ws.pseudo_forward(X), y))
-
-
 def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     """sum_r ||g_pseudo,r - g_real,r||_2 / sum_r ||g_real,r||_2; inf when the denominator is 0.
 
-    g_real and g_pseudo are grad_loss_real and grad_loss_pseudo on the batch,
-    and the ratio is gradient_coupling_norm(g_pseudo, g_real) over the
-    column-norm sum of g_real, without either d x m gradient.  Both forwards
-    run at full width on one n x m workspace; then each unit tile forms its
-    two d x tile gradient blocks, whose column norms go into two length-m
-    vectors that are summed once at the end.  The bits are those of the
-    full-width gradients wherever BLAS rounds a tile's product as it rounds
-    the same columns of the full product (see the README).
+    On the batch's n rows x_i, column r of the mean-loss gradients is
+    g_real,r = a_r / n * sum_i l'(f(x_i), y_i) 1{<W_r, x_i> + b_r >= 0} x_i,
+    that of grad_loss_real, and g_pseudo,r the same with g for f and W0_r
+    for W_r.  Neither d x m gradient is formed: both forwards run at full
+    width on one n x m workspace; then each unit tile forms its two d x tile
+    gradient blocks, whose column norms go into two length-m vectors that
+    are summed once at the end.  The bits are those of the full-width
+    gradients wherever BLAS rounds a tile's product as it rounds the same
+    columns of the full product (see the README).
     """
     X, y = _batch(X, y)
     init = state.init
@@ -265,22 +251,24 @@ def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarr
     _TILE // max(min(_CHUNK, len(sample)), d) columns that stay in cache:
     neither a tile nor its d x cols W - W0 outgrows _TILE elements.  map runs
     the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
-    combine by a NaN-propagating max and masks by an OR: no bit depends on map.
+    combine by a NaN-propagating max and masks by an OR, folded into one mask
+    as each block finishes: no bit depends on map.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise ValueError("empty sample")
     cols = max(1, _TILE // max(min(_CHUNK, len(sample)), state.init.d))
-    blocks = range(0, len(sample), _CHUNK)
-    gaps, flips = zip(*map(lambda lo: _scan_block(state, sample[lo : lo + _CHUNK], cols), blocks))
-    return float(np.max(gaps)), np.logical_or.reduce(flips)  # max() would drop a NaN gap
+    flipped = np.zeros(state.init.m, dtype=bool)
+    lock = threading.Lock()
 
+    def scan(lo):
+        gap, block_flipped = _scan_block(state, sample[lo : lo + _CHUNK], cols)
+        with lock:
+            np.logical_or(flipped, block_flipped, out=flipped)
+        return gap
 
-def gradient_coupling_norm(g1: np.ndarray, g2: np.ndarray) -> float:
-    """(2,1)-norm of the gradient difference: sum over units of column norms."""
-    if g1.shape != g2.shape:
-        raise ValueError(f"shape mismatch: {g1.shape} vs {g2.shape}")
-    return float(np.linalg.norm(g1 - g2, axis=0).sum())
+    gaps = list(map(scan, range(0, len(sample), _CHUNK)))
+    return float(np.max(gaps)), flipped  # max() would drop a NaN gap
 
 
 def drift_2inf(W: np.ndarray, W0: np.ndarray) -> float:

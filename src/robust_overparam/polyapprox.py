@@ -72,7 +72,7 @@ class Polynomial:
 
     `degree` is the structural degree of the construction.  Calls go through
     `evaluator`, the numerically stable structured form; `chebyshev_coeffs`
-    is optional float metadata.  Monomial coefficients exist only exactly:
+    is float metadata.  Monomial coefficients exist only exactly:
     the expander returns them as dyadic integers on first use, and
     `exact_monomial` holds them as Fractions.
     """
@@ -82,15 +82,15 @@ class Polynomial:
         degree: int,
         evaluator: Callable,
         exact_expander: Callable[[], Dyadic],
-        chebyshev_coeffs=None,
-        meta: dict | None = None,
+        chebyshev_coeffs,
+        meta: dict,
     ):
         self.degree = int(degree)
-        self.chebyshev_coeffs = None if chebyshev_coeffs is None else np.asarray(chebyshev_coeffs, dtype=float)
+        self.chebyshev_coeffs = np.asarray(chebyshev_coeffs, dtype=float)
         self._evaluator = evaluator
         self._exact_expander = exact_expander
         self._exact_monomial: list[Fraction] | None = None
-        self.meta = dict(meta or {})
+        self.meta = dict(meta)
 
     def __call__(self, z):
         return self._evaluator(np.asarray(z, dtype=float))
@@ -101,28 +101,22 @@ class Polynomial:
             self._exact_monomial = _to_fractions(self._exact_expander())
         return self._exact_monomial
 
-    def eval_exact(self, z: Fraction) -> Fraction:
-        """Exact Horner evaluation at a rational point (arbitrary precision)."""
-        acc = Fraction(0)
-        for c in reversed(self.exact_monomial):
-            acc = acc * z + c
-        return acc
-
     def monomial_magnitudes(self) -> list[Fraction]:
         """|coeff| per degree, from the exact coefficients."""
         return [abs(c) for c in self.exact_monomial]
 
 
 def _certified(degree: int, evaluate: Callable, expand: Callable[[], Dyadic], plateaus, tol: float,
-               grid: int, meta: dict) -> Polynomial:
+               meta: dict) -> Polynomial:
     """Grid-certify `evaluate`, then build the Polynomial carrying the certificate.
 
     plateaus lists (lo, hi, target); the error on a plateau is the max of
-    |evaluate - target| at `grid` evenly spaced points of [lo, hi].  Any error
+    |evaluate - target| at CERT_GRID evenly spaced points of [lo, hi].  Any error
     above tol raises CertificationError; otherwise meta gains "certification".
     """
     errors = [
-        float(np.max(np.abs(evaluate(np.linspace(lo, hi, grid)) - target))) for lo, hi, target in plateaus
+        float(np.max(np.abs(evaluate(np.linspace(lo, hi, CERT_GRID)) - target)))
+        for lo, hi, target in plateaus
     ]
     if max(errors) > tol:
         raise CertificationError(
@@ -170,20 +164,6 @@ def _cheb_to_monomial(b: Sequence[int]) -> list[int]:
             for u in range(v % 2, v + 1, 2):  # T_v has the parity of v
                 out[u] += bv * tv[u]
     return out
-
-
-def chebyshev_T(k: int) -> Polynomial:
-    """T_k, evaluated by Clenshaw; monomial coefficients by exact integer recurrence."""
-    ints = chebyshev_int_coeffs(k)
-    cheb = np.zeros(k + 1)
-    cheb[k] = 1.0
-    return Polynomial(
-        degree=k,
-        evaluator=lambda z: clenshaw(cheb, z),
-        exact_expander=lambda: (ints, 0),
-        chebyshev_coeffs=cheb,
-        meta={"kind": "chebyshev_T", "k": k},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +222,6 @@ def _walk_weights(k: int) -> np.ndarray:
 def sign_gap_terms(eta_gap: float, eps1: float) -> int:
     """Series length k making the truncated product form an eps1/2 sign approx."""
     return math.ceil(math.log(2.0 / eps1) / eta_gap**2)
-
-
-def sign_poly(eta_gap: float, eps1: float) -> Polynomial:
-    """Odd series p(z) = z * sum_{i<=k} w_i (1-z^2)^i approximating sign(z).
-
-    Accurate to eps1/2 on [-1,1] outside (-eta_gap, eta_gap).  Evaluated in the
-    product form (Horner in w = 1 - z^2, all weights in (0,1]); the monomial
-    expansion exists only as exact metadata.
-    """
-    _check_unit_interval(eta_gap=eta_gap, eps1=eps1)
-    k = sign_gap_terms(eta_gap, eps1)
-    w_coeffs = _walk_weights(k)
-
-    def evaluate(z):
-        z = np.asarray(z, dtype=float)
-        return z * np.polynomial.polynomial.polyval(1.0 - z * z, w_coeffs)
-
-    def expand() -> Dyadic:
-        # w_i = C(2i, i) / 4^i, over the common denominator 4^k
-        series = [c << 2 * (k - i) for i, c in enumerate(_central_binomials(k))]
-        return _expand_w_power_series((series, 2 * k))
-
-    return Polynomial(
-        degree=2 * k + 1,
-        evaluator=evaluate,
-        exact_expander=expand,
-        meta={"kind": "sign_poly", "k": k, "eta_gap": eta_gap, "eps1": eps1},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +365,7 @@ def compressed_sign_poly(eta_gap: float, eps1: float) -> Polynomial:
         "coeff_bound_log2": 4.0 * d_walk,
     }
     plateaus = [(-1.0, -eta_gap, -1.0), (eta_gap, 1.0, 1.0)]
-    return _certified(2 * cap + 1, evaluate, expand, plateaus, eps1, CERT_GRID, meta)
+    return _certified(2 * cap + 1, evaluate, expand, plateaus, eps1, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +410,7 @@ class StepSpec:
         return 1.0 - self.rho**2 / 2.0 - 2.0 * self.eta_gap
 
 
-def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
+def step_poly(spec: StepSpec) -> Polynomial:
     """Step polynomial q built from the compressed sign approximant.
 
     q(z) = (p~((z - alpha)/2) + 1) / 2.  The half-scale affine map keeps the
@@ -466,8 +418,6 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
     certified plateaus onto [1 - rho^2/2, 1] (where q ~ 1) and
     [-1, 1 - (delta-rho)^2/2] (where q ~ 0); both are grid-certified here.
     """
-    if cert_grid < 2:
-        raise ValueError("cert_grid must be at least 2")
     ptil = compressed_sign_poly(spec.eta_gap, spec.eps1)
     alpha = spec.alpha_shift
 
@@ -493,7 +443,7 @@ def step_poly(spec: StepSpec, cert_grid: int = CERT_GRID) -> Polynomial:
     }
     near_one = (1.0 - spec.rho**2 / 2.0, 1.0, 1.0)
     far_zero = (-1.0, 1.0 - (spec.delta - spec.rho) ** 2 / 2.0, 0.0)
-    return _certified(ptil.degree, evaluate, expand, [near_one, far_zero], spec.eps1, cert_grid, meta)
+    return _certified(ptil.degree, evaluate, expand, [near_one, far_zero], spec.eps1, meta)
 
 
 def _affine_substitute_exact(poly: Dyadic, alpha: float) -> Dyadic:

@@ -96,12 +96,6 @@ def schedule(eps: float, R: float, m: int, c_T: float = 1.0, c_eta: float = 1.0)
     )
 
 
-def standard_loss(state: NetworkState, dataset: Dataset, loss) -> float:
-    if dataset.n == 0:
-        raise ValueError("empty dataset")
-    return float(np.mean(loss.value(forward_real(state, dataset.X), dataset.y)))
-
-
 def robust_loss(state: NetworkState, dataset: Dataset, adversary, loss, tag: int = 0) -> float:
     """Mean loss on the adversary's perturbations of the training set."""
     if dataset.n == 0:
@@ -276,8 +270,8 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
         raise FitDegenerateError("all features are zero on the sample")
     n = len(S)
     lam = 1e-8 * n if ridge is None else float(ridge)
-    if lam <= 0:
-        raise ValueError("ridge must be positive")
+    if not 0 < lam < math.inf:  # written so that a NaN fails
+        raise ValueError(f"ridge must be finite and positive, got {lam!r}")
     K *= (0.5 * a[0]) ** 2
     K[np.diag_indices_from(K)] += lam
     alpha = np.linalg.solve(K, vals)

@@ -8,9 +8,9 @@ import pytest
 from robust_overparam.adversary import (
     Adversary,
     AttackConfig,
+    _project_cap_batch,
     attack_batch,
     input_gradient,
-    project_to_cap,
     random_cap_point,
 )
 from robust_overparam.dataspace import uniform_domain_sample, validate_domain
@@ -26,6 +26,13 @@ def _tiny_state(W, b, a):
     W = np.asarray(W, dtype=float)
     snap = InitSnapshot(W0=W.copy(), b0=np.asarray(b, dtype=float), a0=np.asarray(a, dtype=float))
     return NetworkState(snap, W.copy())
+
+
+def _project_to_cap(z, center, rho):
+    """_project_cap_batch on one point (and its center) or a batch."""
+    z = np.asarray(z, dtype=float)
+    out = _project_cap_batch(np.atleast_2d(z), np.atleast_2d(center), rho)
+    return out[0] if z.ndim == 1 else out
 
 
 class TestInputGradient:
@@ -66,38 +73,38 @@ class TestInputGradient:
 class TestProjectToCap:
     def test_center_fixed_point(self):
         c = np.array([R, 0.0, 0.5])
-        assert np.allclose(project_to_cap(c, c, 0.1), c, atol=1e-12)
+        assert np.allclose(_project_to_cap(c, c, 0.1), c, atol=1e-12)
 
     def test_inside_cap_unchanged(self):
         c = np.array([R, 0.0, 0.5])
-        z = project_to_cap(c + np.array([0.0, 0.01, 0.0]), c, 0.1)
-        z2 = project_to_cap(z, c, 0.1)
+        z = _project_to_cap(c + np.array([0.0, 0.01, 0.0]), c, 0.1)
+        z2 = _project_to_cap(z, c, 0.1)
         assert np.allclose(z, z2, atol=1e-12)
 
     def test_feasibility_random(self):
         rng = np.random.default_rng(6)
         centers = uniform_domain_sample(50, 7, stream(6, "c"))
         Z = centers + rng.standard_normal(centers.shape)
-        out = project_to_cap(Z, centers, 0.2)
+        out = _project_to_cap(Z, centers, 0.2)
         validate_domain(out)
         assert np.all(np.linalg.norm(out - centers, axis=1) <= 0.2 + 1e-9)
 
     def test_antipodal_and_zero_head(self):
         c = np.array([R, 0.0, 0.0, 0.5])
-        out = project_to_cap(np.array([-R, 0.0, 0.0, 0.5]), c, 0.2)
+        out = _project_to_cap(np.array([-R, 0.0, 0.0, 0.5]), c, 0.2)
         assert np.linalg.norm(out - c) <= 0.2 + 1e-9
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
-        out2 = project_to_cap(np.array([0.0, 0.0, 0.0, 0.5]), c, 0.2)
+        out2 = _project_to_cap(np.array([0.0, 0.0, 0.0, 0.5]), c, 0.2)
         assert np.allclose(out2, c, atol=1e-12)
 
     def test_antipodal_head_at_d2_is_the_center(self):
         # a one-coordinate head has no tangent direction to rotate along;
         # for rho < sqrt(3) the center is the only cap point within rho
         c = np.array([R, 0.5])
-        assert np.array_equal(project_to_cap(np.array([-R, 0.5]), c, 0.3), c)
+        assert np.array_equal(_project_to_cap(np.array([-R, 0.5]), c, 0.3), c)
         centers = uniform_domain_sample(40, 2, stream(3, "c"))
         for rho in (0.01, 0.3, 1.0):
-            out = project_to_cap(centers * np.array([-1.0, 1.0]), centers, rho)
+            out = _project_to_cap(centers * np.array([-1.0, 1.0]), centers, rho)
             assert np.array_equal(out, centers)
 
     @pytest.mark.parametrize("rho", [0.05, 0.2, 1.0])
@@ -110,12 +117,12 @@ class TestProjectToCap:
         Z = np.vstack([uniform_domain_sample(50, 7, stream(25, "z")), antipodal])
         far = np.linalg.norm(Z - C, axis=1) > rho
         C, Z = C[far], Z[far]
-        out = project_to_cap(Z, C, rho)
+        out = _project_to_cap(Z, C, rho)
         assert len(out) >= 60
         assert np.max(np.abs(np.linalg.norm(out - C, axis=1) - rho)) <= 1e-12
         heads = out[:, :-1]
         renormed = np.hstack([heads * (R / np.linalg.norm(heads, axis=1, keepdims=True)), out[:, -1:]])
-        assert np.array_equal(project_to_cap(out, C, rho), renormed)
+        assert np.array_equal(_project_to_cap(out, C, rho), renormed)
 
     def test_d3_grid_oracle(self):
         # the cap in d=3 is an arc; compare against a dense arc grid
@@ -129,7 +136,7 @@ class TestProjectToCap:
         )
         for _ in range(10):
             z = c + rng.standard_normal(3) * 0.5
-            ours = project_to_cap(z, c, rho)
+            ours = _project_to_cap(z, c, rho)
             best = arc[np.argmin(np.linalg.norm(arc - z, axis=1))]
             assert np.linalg.norm(ours - best) <= 1e-3
 
@@ -232,7 +239,7 @@ def _reference_attack(st, X, y, loss, cfg, tag=0):
             )
             consider(cur)
         for _ in range(cfg.steps):
-            cur = project_to_cap(cur + step * input_gradient(st, cur, y, loss), X, cfg.rho)
+            cur = _project_to_cap(cur + step * input_gradient(st, cur, y, loss), X, cfg.rho)
             consider(cur)
     return best_x
 

@@ -45,12 +45,20 @@ class TestPolyCommand:
         assert code == 1
         assert "SeparabilityError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["1", "0"])
-    def test_cert_grid_below_two_is_usage_error(self, grid, capsys):
-        # one grid point per plateau certifies nothing
+    @pytest.mark.parametrize("grid", ["1", "10000"])
+    def test_cert_grid_is_unrecognized(self, grid, capsys):
+        # the certification grid is the constant CERT_GRID, not a flag
         code = run(["poly", "--delta", "0.8", "--rho", "0.05", "--eps1", "0.01", "--cert-grid", grid])
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and f"unrecognized arguments: --cert-grid {grid}" in err["message"]
+
+    def test_cert_grid_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"delta": 0.8, "rho": 0.05, "eps1": 0.01, "cert_grid": 10000}))
+        assert run(["poly", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "unknown config keys: ['cert_grid']" in err["message"]
 
 
 class TestSeparabilityCommand:

@@ -2,11 +2,14 @@
 
 import concurrent.futures
 import math
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from robust_overparam import network
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     _CHUNK,
@@ -14,14 +17,12 @@ from robust_overparam.network import (
     _UNIT_TILE,
     InitSnapshot,
     NetworkState,
+    _Workspace,
     anti_concentration_check,
     coupling_scan,
     drift_2inf,
-    forward_pseudo,
     forward_real,
-    grad_loss_pseudo,
     grad_loss_real,
-    gradient_coupling_norm,
     gradient_coupling_ratio,
     init_network,
     perturbed_state,
@@ -38,6 +39,26 @@ def _tiny_state(W, b, a):
     W = np.asarray(W, dtype=float)
     snap = InitSnapshot(W0=W.copy(), b0=np.asarray(b, dtype=float), a0=np.asarray(a, dtype=float))
     return NetworkState(snap, W.copy())
+
+
+def _forward_pseudo(state, x):
+    """g(x) = sum_r a_r <W_r - W0_r, x> 1{<W0_r, x> + b0_r >= 0}, one point or a batch."""
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    out = _Workspace(state, len(X)).pseudo_forward(X)
+    return float(out[0]) if x.ndim == 1 else out
+
+
+def _grad_loss_pseudo(state, X, y, loss):
+    """grad_loss_real through g: frozen indicators, slopes at g."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    ws = _Workspace(state, len(X))
+    return ws.weight_gradient(X, loss.slope(ws.pseudo_forward(X), np.atleast_1d(y)))
+
+
+def _coupling_norm(g1, g2):
+    """(2,1)-norm of the gradient difference: the sum over units of its column norms."""
+    return float(np.linalg.norm(g1 - g2, axis=0).sum())
 
 
 class TestInit:
@@ -119,16 +140,16 @@ class TestForwardPseudo:
     def test_zero_at_init(self):
         st = init_network(128, 5, seed=2)
         X = uniform_domain_sample(50, 5, stream(2, "x"))
-        assert np.max(np.abs(forward_pseudo(st, X))) == 0.0
+        assert np.max(np.abs(_forward_pseudo(st, X))) == 0.0
 
     def test_linear_in_deviation(self):
         st = init_network(64, 5, seed=2)
         rng = np.random.default_rng(8)
         d1, d2 = rng.standard_normal((2, 5, 64)) * 0.01
         X = uniform_domain_sample(20, 5, stream(2, "x"))
-        g12 = forward_pseudo(st.with_weights(st.init.W0 + d1 + d2), X)
-        g1 = forward_pseudo(st.with_weights(st.init.W0 + d1), X)
-        g2 = forward_pseudo(st.with_weights(st.init.W0 + d2), X)
+        g12 = _forward_pseudo(st.with_weights(st.init.W0 + d1 + d2), X)
+        g1 = _forward_pseudo(st.with_weights(st.init.W0 + d1), X)
+        g2 = _forward_pseudo(st.with_weights(st.init.W0 + d2), X)
         assert np.max(np.abs(g12 - g1 - g2)) <= 1e-10
 
     @pytest.mark.parametrize("c", [-2.0, -1.0, 0.5, 3.0])
@@ -136,8 +157,8 @@ class TestForwardPseudo:
         st = init_network(64, 5, seed=2)
         dw = np.random.default_rng(9).standard_normal((5, 64)) * 0.01
         X = uniform_domain_sample(20, 5, stream(2, "x"))
-        g = forward_pseudo(st.with_weights(st.init.W0 + dw), X)
-        gc = forward_pseudo(st.with_weights(st.init.W0 + c * dw), X)
+        g = _forward_pseudo(st.with_weights(st.init.W0 + dw), X)
+        gc = _forward_pseudo(st.with_weights(st.init.W0 + c * dw), X)
         assert np.max(np.abs(gc - c * g)) <= 1e-10
 
     def test_hand_case(self):
@@ -145,7 +166,7 @@ class TestForwardPseudo:
         st = st.with_weights(np.array([[1.2], [0.3]]))
         x = np.array([R, 0.5])
         # active at init; g = a * <dW, x>
-        assert forward_pseudo(st, x) == pytest.approx(0.2 * R + 0.3 * 0.5, abs=1e-12)
+        assert _forward_pseudo(st, x) == pytest.approx(0.2 * R + 0.3 * 0.5, abs=1e-12)
 
 
 class TestGradients:
@@ -191,11 +212,11 @@ class TestGradients:
     def test_pseudo_gradient_frozen_indicators(self):
         st = init_network(64, 5, seed=7)
         ds = synth_separated(10, 5, 0.5, seed=7)
-        g0 = grad_loss_pseudo(st, ds.X, ds.y, LOSS)
+        g0 = _grad_loss_pseudo(st, ds.X, ds.y, LOSS)
         # small deviation: no activation flips enter the pseudo gradient, and
         # with residual signs fixed it is independent of W
         st2 = st.with_weights(st.init.W0 + 1e-4)
-        g1 = grad_loss_pseudo(st2, ds.X, ds.y, LOSS)
+        g1 = _grad_loss_pseudo(st2, ds.X, ds.y, LOSS)
         assert np.array_equal(g0, g1)
 
     def test_pseudo_finite_difference(self):
@@ -203,12 +224,12 @@ class TestGradients:
         st = init_network(m, d, seed=8)
         st = st.with_weights(st.init.W0 + 0.01)
         ds = synth_separated(8, d, 0.5, seed=8)
-        g = grad_loss_pseudo(st, ds.X, ds.y, LOSS)
+        g = _grad_loss_pseudo(st, ds.X, ds.y, LOSS)
         rng = np.random.default_rng(22)
         h = 1e-6
 
         def pseudo_loss(W):
-            return float(np.mean(LOSS.value(forward_pseudo(st.with_weights(W), ds.X), ds.y)))
+            return float(np.mean(LOSS.value(_forward_pseudo(st.with_weights(W), ds.X), ds.y)))
 
         for _ in range(20):
             j, r = rng.integers(0, d), rng.integers(0, m)
@@ -223,7 +244,7 @@ class TestGradients:
         X = np.array([[R, 0.5], [-R, 0.5]])
         y = np.array([1.0, -1.0])
         assert np.max(np.abs(grad_loss_real(st, X, y, LOSS))) == 0.0
-        assert np.max(np.abs(grad_loss_pseudo(st, X, y, LOSS))) == 0.0
+        assert np.max(np.abs(_grad_loss_pseudo(st, X, y, LOSS))) == 0.0
 
     def test_empty_batch_rejected(self):
         st = init_network(16, 5, seed=1)
@@ -260,7 +281,7 @@ class TestGradientsPinned:
         loss, init = make_loss(loss_tag), st.init
         mask0 = (X @ init.W0 + init.b0) >= 0
         slopes = loss.slope(((X @ (st.W - init.W0)) * mask0) @ init.a0, y)
-        assert np.array_equal(grad_loss_pseudo(st, X, y, loss), X.T @ (mask0 * (slopes[:, None] * init.a0)) / n)
+        assert np.array_equal(_grad_loss_pseudo(st, X, y, loss), X.T @ (mask0 * (slopes[:, None] * init.a0)) / n)
 
 
 def _full_width_ratio(st, X, y, loss):
@@ -272,7 +293,7 @@ def _full_width_ratio(st, X, y, loss):
     mask0 = (X @ init.W0 + init.b0) >= 0
     slopes0 = loss.slope(((X @ (st.W - init.W0)) * mask0) @ init.a0, y)
     g_pseudo = X.T @ (mask0 * (slopes0[:, None] * init.a0)) / n
-    return g_real, g_pseudo, gradient_coupling_norm(g_pseudo, g_real) / np.linalg.norm(g_real, axis=0).sum()
+    return g_real, g_pseudo, _coupling_norm(g_pseudo, g_real) / np.linalg.norm(g_real, axis=0).sum()
 
 
 class TestGradientCouplingRatio:
@@ -291,10 +312,10 @@ class TestGradientCouplingRatio:
         X = uniform_domain_sample(n, 16, stream(41, "ratio", n))
         y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         loss = make_loss(loss_tag)
-        g_real, g_pseudo = grad_loss_real(st, X, y, loss), grad_loss_pseudo(st, X, y, loss)
+        g_real, g_pseudo = grad_loss_real(st, X, y, loss), _grad_loss_pseudo(st, X, y, loss)
         ref_real, ref_pseudo, ref_ratio = _full_width_ratio(st, X, y, loss)
         assert np.array_equal(g_real, ref_real) and np.array_equal(g_pseudo, ref_pseudo)
-        expected = gradient_coupling_norm(g_pseudo, g_real) / np.linalg.norm(g_real, axis=0).sum()
+        expected = _coupling_norm(g_pseudo, g_real) / np.linalg.norm(g_real, axis=0).sum()
         assert gradient_coupling_ratio(st, X, y, loss) == expected == ref_ratio
 
     @pytest.mark.parametrize("seed", range(8))
@@ -360,15 +381,6 @@ class TestCoupling:
         st = perturbed_state(init_network(256, 6, seed=9), 2.0, seed=9)
         X = uniform_domain_sample(500, 6, stream(9, "x"))
         assert coupling_scan(st, X)[0] == coupling_scan(st, X)[0]
-
-    def test_gradient_coupling_norm(self):
-        g = np.random.default_rng(3).standard_normal((5, 7))
-        assert gradient_coupling_norm(g, g) == 0.0
-        a = np.random.default_rng(4).standard_normal((5, 1))
-        b = np.random.default_rng(5).standard_normal((5, 1))
-        assert gradient_coupling_norm(a, b) == pytest.approx(np.linalg.norm(a - b))
-        with pytest.raises(ValueError):
-            gradient_coupling_norm(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_norm_chain(self):
         # the drift is the largest column norm, so (2,inf) <= Frobenius <= (2,1)
@@ -476,7 +488,7 @@ class TestCouplingScanReference:
         assert gap == pytest.approx(whole_gap, rel=1e-12, abs=0.0)
         assert np.array_equal(flipped, whole_flipped)
         # the definition, through forward_real's X @ W rather than p0 + s
-        by_definition = np.max(np.abs(forward_real(st, X) - forward_pseudo(st, X)))
+        by_definition = np.max(np.abs(forward_real(st, X) - _forward_pseudo(st, X)))
         assert gap == pytest.approx(by_definition, rel=1e-9)
 
     @pytest.mark.parametrize("n", [1, 700])
@@ -539,6 +551,45 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * d * m * 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flip_masks_fold_as_blocks_finish(self, workers):
+        # each block's m-byte flip mask is ORed into one mask as the block
+        # finishes; kept until a final OR, the 79 masks of 20000 rows raised
+        # the peak by about 0.5 d x m over 4000 rows.  The pool's futures take
+        # about 1.6 KB per block whatever m is (0.19 d x m at m = 4096), so the
+        # width is one where the masks, not the futures, would show
+        m, d = 16384, 16
+        st = perturbed_state(init_network(m, d, seed=28), 2.0, seed=28)
+        run = map if workers == 1 else self.pool.map
+        peaks = []
+        for n in (4000, 20_000):
+            X = uniform_domain_sample(n, d, stream(28, "scan", n))
+            tracemalloc.start()
+            try:
+                coupling_scan(st, X, map=run)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.1 * d * m * 8
+
+    def test_fold_under_contention(self, monkeypatch):
+        # blocks that return at once spend their time in the fold; with more
+        # workers than cores and a short switch interval, a fold that lost an
+        # update would leave a unit of some block's mask unset
+        m, blocks = 1 << 20, 32
+        masks = [np.arange(m) % blocks == i for i in range(blocks)]
+        monkeypatch.setattr(network, "_scan_block", lambda state, X, cols: (0.0, masks[int(X[0, 0])]))
+        state = types.SimpleNamespace(init=types.SimpleNamespace(m=m, d=2))
+        sample = np.repeat(np.arange(blocks, dtype=float), _CHUNK)[:, None].repeat(2, axis=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    assert coupling_scan(state, sample, map=pool.map)[1].all()
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_few_rows_allocate_a_small_share_of_d_by_m(self, n):

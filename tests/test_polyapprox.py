@@ -14,17 +14,28 @@ from robust_overparam.polyapprox import (
     CertificationError,
     Polynomial,
     StepSpec,
-    chebyshev_T,
     chebyshev_int_coeffs,
     complexity_measures,
     compressed_power,
     compressed_sign_poly,
     robust_interpolant,
-    sign_poly,
     step_poly,
 )
 
 GRID = np.linspace(-1.0, 1.0, 1001)
+
+
+def _unit(k: int) -> np.ndarray:
+    """Chebyshev coefficients of T_k alone."""
+    return np.eye(k + 1)[k]
+
+
+def _horner(coeffs, z: Fraction) -> Fraction:
+    """Exact Horner evaluation of ascending monomial coefficients at a rational point."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 class TestChebyshevT:
@@ -40,56 +51,71 @@ class TestChebyshevT:
         assert all(abs(c) <= 2**20 for c in chebyshev_int_coeffs(10))
 
     def test_cosine_identity(self):
-        # T_5(0.3) = cos(5 arccos 0.3)
-        t5 = chebyshev_T(5)
-        assert abs(t5(0.3) - math.cos(5 * math.acos(0.3))) <= 1e-12
+        # T_5(0.3) = cos(5 arccos 0.3), by Clenshaw and by the integer row
+        expected = math.cos(5 * math.acos(0.3))
+        assert abs(polyapprox.clenshaw(_unit(5), 0.3) - expected) <= 1e-12
+        assert abs(float(_horner(chebyshev_int_coeffs(5), Fraction(3, 10))) - expected) <= 1e-12
 
     def test_matches_numpy_basis(self):
         for k in (2, 7, 12):
-            ours = [float(c) for c in chebyshev_T(k).exact_monomial]
-            ref = np.polynomial.chebyshev.cheb2poly([0.0] * k + [1.0])
+            ours = [float(c) for c in chebyshev_int_coeffs(k)]
+            ref = np.polynomial.chebyshev.cheb2poly(_unit(k))
             assert np.allclose(ours, ref, atol=1e-9)
 
     def test_degree_is_highest_nonzero(self):
+        # T_k has degree k and leading coefficient 2^(k-1) for k >= 1
         for k in (0, 1, 5, 30):
-            p = chebyshev_T(k)
-            exact = p.exact_monomial
-            assert max(j for j, c in enumerate(exact) if c != 0) == p.degree
-            assert np.flatnonzero(p.chebyshev_coeffs)[-1] == p.degree
+            row = chebyshev_int_coeffs(k)
+            assert len(row) == k + 1
+            assert row[-1] == (2 ** (k - 1) if k else 1)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             chebyshev_int_coeffs(-1)
 
 
+def _product_sign(eta: float, eps1: float):
+    """The product-form series p(z) = z sum_{i<=k} w_i (1 - z^2)^i that compressed_sign_poly compresses."""
+    w = polyapprox._walk_weights(polyapprox.sign_gap_terms(eta, eps1))
+    return lambda z: z * np.polynomial.polynomial.polyval(1.0 - z * z, w)
+
+
+def _product_sign_exact(eta: float, eps1: float) -> list[Fraction]:
+    """Monomial coefficients of _product_sign, with w_i = C(2i, i) / 4^i over 4^k."""
+    k = polyapprox.sign_gap_terms(eta, eps1)
+    series = [c << 2 * (k - i) for i, c in enumerate(polyapprox._central_binomials(k))]
+    return polyapprox._to_fractions(polyapprox._expand_w_power_series((series, 2 * k)))
+
+
 class TestSignPoly:
+    """sign_gap_terms' series length and the weights that compressed_sign_poly compresses."""
+
     def test_odd_and_zero(self):
-        p = sign_poly(0.3, 0.2)
+        p = _product_sign(0.3, 0.2)
         assert p(0.0) == 0.0
         assert np.max(np.abs(p(GRID) + p(-GRID))) <= 1e-10
 
     @pytest.mark.parametrize("eta,eps1", [(0.5, 0.2), (0.25, 0.1), (0.1, 0.05)])
     def test_gap_accuracy(self, eta, eps1):
         # within eps1/2 of sign on [eta, 1]
-        p = sign_poly(eta, eps1)
+        p = _product_sign(eta, eps1)
         g = np.linspace(eta, 1.0, 10_000)
         assert np.max(np.abs(p(g) - 1.0)) <= eps1 / 2.0
 
     def test_frozen_point_value(self):
         # exact Fraction evaluation of the k=48 series at z=1/2
-        p = sign_poly(0.25, 0.1)
-        assert p.meta["k"] == 48
-        assert abs(p(0.5) - 0.9999998819507973) <= 1e-12
+        assert polyapprox.sign_gap_terms(0.25, 0.1) == 48
+        assert abs(_product_sign(0.25, 0.1)(0.5) - 0.9999998819507973) <= 1e-12
 
     def test_exact_expansion_matches_evaluator(self):
-        p = sign_poly(0.5, 0.5)
+        p, exact = _product_sign(0.5, 0.5), _product_sign_exact(0.5, 0.5)
         for z in (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 8)):
-            assert abs(float(p.eval_exact(z)) - float(p(float(z)))) <= 1e-12
+            assert abs(float(_horner(exact, z)) - float(p(float(z)))) <= 1e-12
 
     @pytest.mark.parametrize("eta,eps1", [(0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 1.0)])
     def test_rejects_bad_params(self, eta, eps1):
         with pytest.raises(ValueError):
-            sign_poly(eta, eps1)
+            compressed_sign_poly(eta, eps1)
 
 
 class TestCompressedPower:
@@ -132,7 +158,7 @@ class TestCompressedPower:
 
     def test_horner_clenshaw_agree(self):
         p = compressed_power(12, 8)
-        _assert_exact_matches_grid(p, 1e-8)
+        _assert_exact_matches_grid(p.exact_monomial, p, 1e-8)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -235,7 +261,7 @@ class TestStepPoly:
     def test_exact_expansion_matches_evaluator(self):
         q = step_poly(StepSpec(rho=0.05, delta=1.2, eps1=0.1))
         for z in (Fraction(1, 2), Fraction(-3, 4), Fraction(99, 100)):
-            assert abs(float(q.eval_exact(z)) - float(q(float(z)))) <= 1e-10
+            assert abs(float(_horner(q.exact_monomial, z)) - float(q(float(z)))) <= 1e-10
 
     def test_chebyshev_basis_consistent(self):
         q = step_poly(self.SPEC)
@@ -248,7 +274,7 @@ class TestCertified:
     @staticmethod
     def _identity(plateaus, tol=0.1):
         return polyapprox._certified(
-            1, lambda z: np.asarray(z, dtype=float), lambda: ([0, 1], 0), plateaus, tol, 50, {"kind": "identity"}
+            1, lambda z: np.asarray(z, dtype=float), lambda: ([0, 1], 0), plateaus, tol, {"kind": "identity"}
         )
 
     def test_missed_plateau_raises_naming_kind(self):
@@ -276,24 +302,26 @@ class TestCertified:
         assert cert["pass"] is True
 
 
-def _assert_exact_matches_grid(p: Polynomial, tol: float, stride: int = 1):
-    """Exact Horner at the rational points of GRID against the evaluator there."""
-    vals = p(GRID)
+def _assert_exact_matches_grid(coeffs, evaluate, tol: float, stride: int = 1):
+    """Exact Horner of the monomial coeffs at the rational points of GRID against evaluate there."""
+    vals = evaluate(GRID)
     for idx in range(0, len(GRID), stride):
         z = Fraction(idx - 500, 500)
-        assert abs(float(p.eval_exact(z)) - vals[idx]) <= tol
+        assert abs(float(_horner(coeffs, z)) - vals[idx]) <= tol
 
 
 class TestChebyshevConsistency:
-    """Exact Horner (where float would cancel) vs the Clenshaw evaluator on a 1001 grid."""
+    """Exact Horner of chebyshev_int_coeffs (where float would cancel) vs Clenshaw on a 1001 grid."""
 
     @pytest.mark.parametrize("k", [3, 11])
     def test_float_agreement_low_degree(self, k):
-        _assert_exact_matches_grid(chebyshev_T(k), 1e-8)
+        _assert_exact_matches_grid(chebyshev_int_coeffs(k), lambda z: polyapprox.clenshaw(_unit(k), z), 1e-8)
 
     @pytest.mark.parametrize("k", [50, 200])
     def test_exact_agreement_high_degree(self, k):
-        _assert_exact_matches_grid(chebyshev_T(k), 1e-8, stride=10)
+        _assert_exact_matches_grid(
+            chebyshev_int_coeffs(k), lambda z: polyapprox.clenshaw(_unit(k), z), 1e-8, stride=10
+        )
 
 
 def _exact_poly(nums: list[int]) -> Polynomial:
@@ -302,6 +330,8 @@ def _exact_poly(nums: list[int]) -> Polynomial:
         len(nums) - 1,
         evaluator=lambda z: np.polynomial.polynomial.polyval(z, nums),
         exact_expander=lambda: (nums, 0),
+        chebyshev_coeffs=np.polynomial.chebyshev.poly2cheb(nums),
+        meta={},
     )
 
 
@@ -481,8 +511,8 @@ def _affine_substitute_exact(coeffs: Sequence[Fraction], a: Fraction, b: Fractio
     return out
 
 
-def _ref_sign_poly(p: Polynomial) -> list[Fraction]:
-    series = [_walk_weight_exact(i) for i in range(p.meta["k"] + 1)]
+def _ref_sign_poly(k: int) -> list[Fraction]:
+    series = [_walk_weight_exact(i) for i in range(k + 1)]
     return _expand_w_power_series(series)
 
 
@@ -528,8 +558,9 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("eta,eps1", [(0.5, 0.5), (0.25, 0.1)])
     def test_sign_poly(self, eta, eps1):
-        p = sign_poly(eta, eps1)
-        _assert_fractions_equal(p.exact_monomial, _ref_sign_poly(p))
+        # the product-form series, before compression
+        k = polyapprox.sign_gap_terms(eta, eps1)
+        _assert_fractions_equal(_product_sign_exact(eta, eps1), _ref_sign_poly(k))
 
     @pytest.mark.parametrize("s", [6, 10, 20, 40])
     def test_compressed_power(self, s):
@@ -553,8 +584,6 @@ class TestExactOracle:
 
     def test_chebyshev_T(self):
         for k in (0, 1, 7, 40):
-            _assert_fractions_equal(chebyshev_T(k).exact_monomial,
-                                    [Fraction(c) for c in _ref_chebyshev_int_coeffs(k)])
             assert chebyshev_int_coeffs(k) == _ref_chebyshev_int_coeffs(k)
 
     @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.1, 51 / 64])

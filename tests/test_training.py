@@ -11,8 +11,8 @@ from robust_overparam.adversary import Adversary, AttackConfig, random_cap_point
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     InitSnapshot,
+    _Workspace,
     coupling_scan,
-    forward_pseudo,
     forward_real,
     init_network,
     perturbed_state,
@@ -28,8 +28,12 @@ from robust_overparam.training import (
     make_loss,
     robust_loss,
     schedule,
-    standard_loss,
 )
+
+
+def _standard_loss(state, dataset, loss):
+    """The mean loss on the clean training set."""
+    return float(np.mean(loss.value(forward_real(state, dataset.X), dataset.y)))
 
 
 class TestLossContracts:
@@ -98,7 +102,7 @@ class TestLosses:
         from robust_overparam.dataspace import Dataset
 
         ds = Dataset(X[keep], y[keep])
-        assert standard_loss(st, ds, make_loss("absolute")) == 0.0
+        assert _standard_loss(st, ds, make_loss("absolute")) == 0.0
 
     def test_single_point_value(self):
         st = init_network(8, 3, seed=31)
@@ -107,13 +111,13 @@ class TestLosses:
         x = uniform_domain_sample(1, 3, stream(31, "x"))
         f = forward_real(st, x)[0]
         ds = Dataset(x, np.array([1.0]))
-        assert standard_loss(st, ds, make_loss("absolute")) == pytest.approx(abs(f - 1.0), abs=1e-15)
+        assert _standard_loss(st, ds, make_loss("absolute")) == pytest.approx(abs(f - 1.0), abs=1e-15)
 
     def test_matches_independent_summation(self):
         st = init_network(128, 6, seed=32)
         ds = synth_separated(40, 6, 0.3, seed=32)
         loss = make_loss("absolute")
-        ours = standard_loss(st, ds, loss)
+        ours = _standard_loss(st, ds, loss)
         ref = math.fsum(abs(forward_real(st, ds.X[i]) - ds.y[i]) for i in range(ds.n)) / ds.n
         assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -122,14 +126,14 @@ class TestLosses:
         ds = synth_separated(8, 5, 0.5, seed=33)
         loss = make_loss("absolute")
         adv = Adversary("identity", AttackConfig(rho=0.1))
-        assert robust_loss(st, ds, adv, loss) == standard_loss(st, ds, loss)
+        assert robust_loss(st, ds, adv, loss) == _standard_loss(st, ds, loss)
 
     def test_worst_at_least_standard(self):
         st = init_network(64, 5, seed=34)
         ds = synth_separated(8, 5, 0.5, seed=34)
         loss = make_loss("absolute")
         adv = Adversary("worst", AttackConfig(rho=0.1, seed=2))
-        assert robust_loss(st, ds, adv, loss) >= standard_loss(st, ds, loss) - 1e-15
+        assert robust_loss(st, ds, adv, loss) >= _standard_loss(st, ds, loss) - 1e-15
 
     def test_against_random_search_oracle(self):
         st = init_network(8, 3, seed=35)
@@ -197,21 +201,21 @@ class TestAdversarialTrain:
 
     def test_identity_trace_losses_are_standard_losses(self):
         # with no attack the robust loss is the standard loss, and each row's
-        # standard loss is standard_loss at that row's pre-update weights
+        # standard loss is the mean clean loss at that row's pre-update weights
         st, ds, loss, _ = self._setup()
         identity = Adversary("identity", AttackConfig(rho=0.05))
         hp = HyperParams(T=4, eta=0.05, R=1.0, eps=0.5)
         res = adversarial_train(st, ds, identity, loss, hp)
         assert res.trace.robust_loss == res.trace.standard_loss
-        assert res.trace.standard_loss[0] == standard_loss(st, ds, loss)
+        assert res.trace.standard_loss[0] == _standard_loss(st, ds, loss)
         one = adversarial_train(st, ds, identity, loss, HyperParams(T=1, eta=0.05, R=1.0, eps=0.5))
-        assert res.trace.standard_loss[1] == standard_loss(st.with_weights(one.final_W), ds, loss)
+        assert res.trace.standard_loss[1] == _standard_loss(st.with_weights(one.final_W), ds, loss)
         assert res.trace.standard_loss[1] != res.trace.standard_loss[0]
 
     def test_identity_coupling_sample_is_the_forward_gap(self):
         # with no attack the coupling sample is max |f - g| over the training
         # set at that row's pre-update weights, bit for bit as forward_real and
-        # forward_pseudo give it, and coupling_scan's gap up to rounding
+        # the pseudo forward give it, and coupling_scan's gap up to rounding
         st, ds, loss, _ = self._setup()
         identity = Adversary("identity", AttackConfig(rho=0.05))
         hp = HyperParams(T=4, eta=0.05, R=1.0, eps=0.5)
@@ -220,7 +224,7 @@ class TestAdversarialTrain:
             # row t's weights are the final weights of a t-step run
             W = st.W if t == 0 else adversarial_train(st, ds, identity, loss, replace(hp, T=t)).final_W
             cur = st.with_weights(W)
-            gap = float(np.max(np.abs(forward_real(cur, ds.X) - forward_pseudo(cur, ds.X))))
+            gap = float(np.max(np.abs(forward_real(cur, ds.X) - _Workspace(cur, ds.n).pseudo_forward(ds.X))))
             assert res.trace.coupling_sample[t] == gap
             assert gap == pytest.approx(coupling_scan(cur, ds.X)[0], rel=1e-12, abs=0.0)
         assert res.trace.coupling_sample[-1] != res.trace.coupling_sample[0]
@@ -275,6 +279,14 @@ class TestFitPseudo:
         S = uniform_domain_sample(5, 4, stream(52, "s"))
         with pytest.raises(ValueError):
             fit_pseudo_to_target(st.init, lambda X: np.ones(len(X)), S, ridge=0.0)
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf])
+    def test_nonfinite_ridge_rejected(self, ridge):
+        # a NaN ridge gave a NaN fit and an infinite one an all-zero fit
+        st = init_network(16, 4, seed=52)
+        S = uniform_domain_sample(5, 4, stream(52, "s"))
+        with pytest.raises(ValueError, match="finite and positive"):
+            fit_pseudo_to_target(st.init, lambda X: np.ones(len(X)), S, ridge=ridge)
 
     def test_interpolant_target_fit_error(self):
         # the n=20 instance target is fit to within eps/3 at width 4096
@@ -367,7 +379,7 @@ def test_empty_dataset_rejected():
     st = init_network(16, 4, seed=1)
     empty = Dataset(np.zeros((0, 4)), np.zeros(0))
     with pytest.raises(ValueError):
-        standard_loss(st, empty, make_loss("absolute"))
+        robust_loss(st, empty, Adversary("identity", AttackConfig(rho=0.1)), make_loss("absolute"))
     with pytest.raises(ValueError):
         adversarial_train(
             st, empty, Adversary("identity", AttackConfig(rho=0.1)),
