@@ -9,11 +9,16 @@ construction.  Per-example randomness is keyed by (seed, tag, example
 index, restart) so attacks are reproducible under any scheduling and larger
 restart counts extend, not reshuffle, smaller ones.
 
-The restarts of attack_batch advance in lockstep, but the network is
-evaluated one restart at a time on one n-row network._Workspace, allocated
-once per call: a forward gives the outputs and the activation mask, from
-which the loss, its slope and the input gradient follow.  Ties between
-restarts resolve in restart order.
+The restarts of attack_batch advance in lockstep on one
+network._CapWorkspace per call.  An attack never leaves the rho-cap of its
+example, and on that cap most units keep one sign: they are linear there and
+fold into one d-vector and one constant per example, so each step evaluates
+only the units whose sign can change, about 8% of them at the acceptance
+config.  Where gathering those units per example would outweigh the
+full-width workspace (d times their largest count above m), every unit is
+evaluated, one restart at a time.  A forward gives the outputs and the
+evaluated units' activation mask, from which the loss, its slope and the
+input gradient follow.  Ties between restarts resolve in restart order.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataspace import HEAD_RADIUS, validate_domain
-from .network import NetworkState, _Workspace
+from .network import NetworkState, _CapWorkspace, _Workspace
 from .rng import stream
 
 _PROJECT_TOL = 1e-9
@@ -148,46 +153,48 @@ def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0) -> np.ndarr
     all iterates of all restarts and the unperturbed point itself, so the
     attacked loss never falls below the clean loss; of equal losses the
     earliest wins, in restart order and then step order.  Raises ValueError
-    for points off the domain.
+    for points off the domain and for labels that are not finite.
 
     The restarts advance in lockstep: rows r*n ... r*n + n - 1 of one array
     hold restart r, which starts at X for r = 0 and at a random cap point
-    otherwise.  Each step runs the forward and the input gradient of one
-    restart after another on the n-row workspace, so every matrix product
-    keeps the shape and bits of a single-restart attack, then projects,
-    scores and keeps the best point of every (restart, example) at once.
-    The restarts are folded in order at the end.
+    otherwise.  The network is evaluated on a network._CapWorkspace built
+    once per call: every iterate stays within rho + _PROJECT_TOL of its
+    example, so only the units whose sign can change on that cap are
+    evaluated, and the others enter as one linear term per example; past
+    the workspace's gather limit every unit is evaluated.  Each step runs
+    the forward and the input gradient of all restarts, then projects,
+    scores and keeps the best point of every (restart, example).  The
+    restarts are folded in order at the end.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     validate_domain(X)
     n, k = len(X), cfg.restarts
     y = np.broadcast_to(np.asarray(y, dtype=float), (n,))
+    if not np.isfinite(y).all():
+        # a non-finite label makes every loss on its row non-finite, so no
+        # iterate would beat the clean point
+        raise ValueError("labels must be finite")
     step = cfg.rho / 5.0
-    ws = _Workspace(state, n)
+    ws = _CapWorkspace(state, X, cfg.rho + _PROJECT_TOL, k)
     out = X.copy()
-    blocks = [slice(r * n, (r + 1) * n) for r in range(k)]
     centers = np.tile(X, (k, 1))
     ys = np.tile(y, k)
     cur = centers.copy()
     rngs = [stream(cfg.seed, "attack", tag, i, r) for r in range(1, k) for i in range(n)]
     cur[n:] = _random_cap_batch(centers[n:], cfg.rho, rngs)
-    preds = np.empty(k * n)
-    grad = np.empty_like(cur)
     for t in range(cfg.steps + 1):
-        last = t == cfg.steps
-        for rows in blocks:
-            preds[rows] = ws.forward(cur[rows])
-            if not last:
-                grad[rows] = ws.input_gradient(loss.slope(preds[rows], y))
+        preds = ws.forward(cur)
         losses = loss.value(preds, ys)
         if t == 0:
             # every (restart, example) starts from the clean point and loss
             out_l = losses[:n].copy()
             best_x, best_l = centers.copy(), np.tile(out_l, k)
         _consider(cur, losses, best_x, best_l)
-        if not last:
+        if t < cfg.steps:
+            grad = ws.input_gradient(loss.slope(preds, ys))
             cur = _project_cap_batch(cur + step * grad, centers, cfg.rho)
-    for rows in blocks:
+    for r in range(k):
+        rows = slice(r * n, (r + 1) * n)
         _consider(best_x[rows], best_l[rows], out, out_l)
     return out
 

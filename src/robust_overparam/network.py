@@ -6,6 +6,10 @@ g_W freezes every unit's activation pattern at initialization, making it
 linear in W - W0.  Operations here compute forwards, loss (sub)gradients in W,
 the (2,inf) drift, and the empirical gap between network and pseudo-network.
 
+The PGA attack evaluates the network on _CapWorkspace, which folds the units
+that keep one sign on an example's cap into one linear term per example, or
+evaluates every unit where gathering the others would outweigh an n x m
+workspace.
 Both coupling diagnostics stream over the hidden units, coupling_scan in
 cache-sized tiles and gradient_coupling_ratio in unit tiles, each forming
 W - W0 one tile at a time, so a coupling cell holds W0, W and one n x m
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataspace import DOMAIN_ATOL
 from .rng import stream
 
 # rows of X are points; W has one column per hidden unit
@@ -30,6 +35,10 @@ _TILE = 65536
 # units per tile of gradient_coupling_ratio and of the pseudo forward's
 # X @ (W - W0); see _unit_tiles for the last tile
 _UNIT_TILE = 4096
+# units per tile of _CapWorkspace's split, the pseudo-network fit's width: at
+# n = 20, m = 8192 an attack took 9.1 ms with it against 13.5 ms with 4096-unit
+# tiles, and m-unit tiles added 1 MB to its traced peak
+_CAP_TILE = 1024
 
 
 @dataclass(frozen=True)
@@ -111,11 +120,15 @@ class _Workspace:
         self.act = np.empty((n, state.init.m))
         self.mask = np.empty((n, state.init.m), dtype=bool)
 
-    def forward(self, X) -> np.ndarray:
-        """f(x) = sum_r a_r relu(<W_r, x> + b_r) at each row of X."""
+    def forward(self, X, mask=None) -> np.ndarray:
+        """f(x) = sum_r a_r relu(<W_r, x> + b_r) at each row of X.
+
+        Leaves the active mask in mask (default: self.mask).
+        """
+        mask = self.mask if mask is None else mask
         np.matmul(X, self.state.W, out=self.act)
         self.act += self.state.init.b0
-        np.greater_equal(self.act, 0.0, out=self.mask)
+        np.greater_equal(self.act, 0.0, out=mask)
         np.maximum(self.act, 0.0, out=self.act)
         return self.act @ self.state.init.a0
 
@@ -136,15 +149,127 @@ class _Workspace:
         self.act *= mask0
         return self.act @ init.a0
 
-    def input_gradient(self, slopes: np.ndarray) -> np.ndarray:
-        """slopes * sum_r a_r W_r 1{active} at the points of the last forward."""
-        np.copyto(self.act, self.mask)
+    def input_gradient(self, slopes: np.ndarray, mask=None) -> np.ndarray:
+        """slopes * sum_r a_r W_r 1{active}, active read from mask (default: the last forward's)."""
+        np.copyto(self.act, self.mask if mask is None else mask)
         self.act *= self.state.init.a0
         return slopes[:, None] * (self.act @ self.state.W.T)
 
     def weight_gradient(self, X, slopes: np.ndarray) -> np.ndarray:
         """Mean over the last forward's points X of slopes * a_r x 1{active}, d x m."""
         return _weight_gradient(X, slopes, self.state.init.a0, self.mask, self.act)
+
+
+def _stable_on_cap(P: np.ndarray, W: np.ndarray, radius: float) -> np.ndarray:
+    """1{unit r has one sign on all of row i's cap}, from P[i, r] = <W_r, x_i> + b_r.
+
+    W holds the units' d x units weights, x_i is a center on the domain
+    within DOMAIN_ATOL, and every point z of its cap has z_d = 1/2 and a head
+    within radius of x_i's.  So p_r moves by at most reach_r =
+    radius * ||W_head,r|| + DOMAIN_ATOL * |W_d,r| on the cap; the added
+    DOMAIN_ATOL * ||W_head,r|| and 1e-12 absorb the rounding of the length-d
+    products for any d below 10^4.  Written as `|P| > reach` so that a
+    non-finite pre-activation or reach counts as unstable.
+    """
+    reach = (radius + DOMAIN_ATOL) * np.linalg.norm(W[:-1], axis=0) + DOMAIN_ATOL * np.abs(W[-1]) + 1e-12
+    return np.abs(P) > reach
+
+
+class _CapWorkspace:
+    """The network on the cap around each row of X, evaluated at k points per cap.
+
+    A unit whose sign cannot change on row i's cap (_stable_on_cap) is
+    linear there, so the stable active units fold into one d-vector
+    v_i = sum_r a_r W_r and one constant c_i = sum_r a_r b_r, and only the
+    other units, about erf(rho sqrt(d - 1) / 2) of m at initialization,
+    are evaluated:
+
+        f(z) = <v_i, z> + c_i + sum_{u unstable} a_u relu(<W_u, z> + b_u).
+
+    The split runs in _CAP_TILE-unit tiles and never forms an n x m float.
+    Row i's unstable columns are gathered once, in unit order, into Wu[i],
+    n x d x u, padded with zero units to the largest set, u.  forward
+    takes a (k * n) x d batch whose rows j * n + i lie on cap i, and leaves
+    the unstable units' active mask in on, which input_gradient reads; both
+    fill k x n x u and k x n x d buffers in place.
+
+    When d * u > m the gathered weights would outweigh an n x m workspace
+    (at rho = 0.35, d = 10, m = 65536, where about half the units are
+    unstable, the gather doubled a train run's peak RSS and took 1.6 times
+    as long).  The split stops at the tile where a count passes m / d, and
+    the fold goes unused: full holds an n-row _Workspace that evaluates
+    every unit, one block of n rows at a time, leaving block j's active
+    mask in masks[j]; otherwise full is None.
+    """
+
+    def __init__(self, state: NetworkState, X: np.ndarray, radius: float, k: int):
+        W, init = state.W, state.init
+        n, d = X.shape
+        tiles = _unit_tiles(init.m, _CAP_TILE)
+        buf = np.empty(n * max(c.stop - c.start for c in tiles))
+        unstable = np.empty((n, init.m), dtype=bool)
+        counts = np.zeros(n, dtype=np.int64)
+        self.v, self.c = np.zeros((n, d)), np.zeros(n)
+        for c in tiles:
+            pre = buf[: n * (c.stop - c.start)].reshape(n, c.stop - c.start)
+            np.matmul(X, W[:, c], out=pre)
+            pre += init.b0[c]
+            stable = _stable_on_cap(pre, W[:, c], radius)
+            np.logical_not(stable, out=unstable[:, c])
+            counts += unstable[:, c].sum(axis=1)
+            if d * counts.max(initial=0) > init.m:
+                break
+            stable &= pre >= 0.0
+            np.copyto(pre, stable)
+            pre *= init.a0[c]
+            self.v += pre @ W[:, c].T
+            self.c += pre @ init.b0[c]
+        del buf, pre, stable
+        u = int(counts.max(initial=0))
+        self.full = None
+        if d * u > init.m:
+            del unstable
+            self.full = _Workspace(state, n)
+            self.masks = [self.full.mask] + [np.empty_like(self.full.mask) for _ in range(k - 1)]
+            return
+        cols = np.nonzero(unstable)[1]
+        del unstable
+        self.Wu = np.zeros((n, d, u))
+        self.bu, self.au = np.zeros((n, 1, u)), np.zeros((n, u))
+        for i, (count, end) in enumerate(zip(counts, np.cumsum(counts))):
+            idx = cols[end - count : end]
+            self.Wu[i, :, :count] = W[:, idx]
+            self.bu[i, 0, :count] = init.b0[idx]
+            self.au[i, :count] = init.a0[idx]
+        self.pre = np.empty((k, n, 1, u))
+        self.on = np.empty((k, n, 1, u), dtype=bool)
+        self.grad = np.empty((k, n, 1, d))
+
+    def forward(self, Z: np.ndarray) -> np.ndarray:
+        """f at each row of Z, (k * n) x d with row j * n + i on cap i."""
+        if self.full is not None:
+            blocks = np.split(Z, len(self.masks))
+            return np.concatenate([self.full.forward(B, mask) for B, mask in zip(blocks, self.masks)])
+        Z = Z.reshape(self.grad.shape)
+        np.matmul(Z, self.Wu, out=self.pre)
+        self.pre += self.bu
+        np.greater_equal(self.pre, 0.0, out=self.on)
+        np.maximum(self.pre, 0.0, out=self.pre)
+        f = self.pre @ self.au[:, :, None]
+        f += Z @ self.v[:, :, None]
+        f += self.c[:, None, None]
+        return f.reshape(-1)
+
+    def input_gradient(self, slopes: np.ndarray) -> np.ndarray:
+        """slopes * (v_i + sum_u a_u W_u 1{active}) at the points of the last forward."""
+        if self.full is not None:
+            blocks = np.split(slopes, len(self.masks))
+            return np.vstack([self.full.input_gradient(s, mask) for s, mask in zip(blocks, self.masks)])
+        np.copyto(self.pre, self.on)
+        self.pre *= self.au[:, None, :]
+        np.matmul(self.pre, self.Wu.transpose(0, 2, 1), out=self.grad)
+        self.grad += self.v[:, None, :]
+        return slopes[:, None] * self.grad.reshape(len(slopes), self.grad.shape[-1])
 
 
 def forward_real(state: NetworkState, x) -> float | np.ndarray:

@@ -175,6 +175,24 @@ class TestAdversarialTrain:
         for t, drift in zip(res.trace.t, res.trace.drift_2inf):
             assert drift <= hp.eta * t * m_third + 1e-9
 
+    def test_traced_peak_at_the_benchmark_shape(self):
+        # the `train-pga` run (n = 20, d = 10, m = 8192, 20-step 3-restart
+        # PGA, T = 12): the worst-case attack may raise the traced peak of a
+        # run without one by at most a quarter of an n x m float.  It raised
+        # it by 37 KB at full width and by 41 KB with the cap split
+        peaks = {}
+        for kind in ("identity", "worst"):
+            st = init_network(8192, 10, seed=7)
+            ds = synth_separated(20, 10, 0.8, seed=7)
+            adv = Adversary(kind, AttackConfig(rho=0.05, steps=20, restarts=3, seed=7))
+            tracemalloc.start()
+            try:
+                adversarial_train(st, ds, adv, make_loss("absolute"), schedule(0.3, 1.0, 8192))
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["worst"] - peaks["identity"] <= 0.25 * 20 * 8192 * 8
+
     def test_loss_decreases_and_best_iterate(self):
         st, ds, loss, adv = self._setup()
         hp = schedule(0.35, 1.0, st.init.m)  # T = 9
