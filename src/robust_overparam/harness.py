@@ -410,8 +410,8 @@ def finite_float(text: str) -> float:
     return value
 
 
-def int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+def positive_int_list(text: str) -> list[int]:
+    return [positive_int(v) for v in text.split(",")]
 
 
 def float_list(text: str) -> list[float]:
@@ -462,7 +462,7 @@ def build_parser():
     sep.set_defaults(func=cmd_separability)
 
     cpl = sub.add_parser("coupling", help="network vs pseudo-network width sweep")
-    cpl.add_argument("--m-list", type=int_list, required=True)
+    cpl.add_argument("--m-list", type=positive_int_list, required=True)
     cpl.add_argument("--R", type=finite_float, default=2.0)
     cpl.add_argument("--samples", type=positive_int, default=20_000)
     cpl.add_argument("--d", type=int, default=16)
@@ -502,7 +502,7 @@ def build_parser():
 
     sw = sub.add_parser("sweep", help="cartesian sweep over m/delta lists")
     sw.add_argument("target", choices=("fit", "train"))
-    sw.add_argument("--m-list", type=int_list, required=True)
+    sw.add_argument("--m-list", type=positive_int_list, required=True)
     sw.add_argument("--delta-list", type=float_list, default=None)
     sw.add_argument("--repeats", type=positive_int, default=3)
     sw.add_argument("--seed", type=int, default=1)

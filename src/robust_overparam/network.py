@@ -12,8 +12,8 @@ evaluates every unit where gathering the others would outweigh an n x m
 workspace.
 Both coupling diagnostics stream over the hidden units, coupling_scan in
 cache-sized tiles and gradient_coupling_ratio in unit tiles, each forming
-W - W0 one tile at a time, so a coupling cell holds W0, W and one n x m
-buffer, and no d x m difference or gradient.
+W - W0 one tile at a time, so a coupling cell holds W0 and W but no n x m
+float, d x m difference or gradient.
 """
 from __future__ import annotations
 
@@ -132,21 +132,20 @@ class _Workspace:
         np.maximum(self.act, 0.0, out=self.act)
         return self.act @ self.state.init.a0
 
-    def pseudo_forward(self, X, mask0=None) -> np.ndarray:
+    def pseudo_forward(self, X) -> np.ndarray:
         """g(x) = sum_r a_r <W_r - W0_r, x> 1{<W0_r, x> + b0_r >= 0} at each row of X.
 
-        Leaves the initial active mask in mask0 (default: mask).  X @ (W - W0)
-        is filled into act one unit tile at a time, from a d x tile
-        difference, so no d x m difference is allocated.
+        Leaves the initial active mask in mask.  X @ (W - W0) is filled into
+        act one unit tile at a time, from a d x tile difference, so no d x m
+        difference is allocated.
         """
         init = self.state.init
-        mask0 = self.mask if mask0 is None else mask0
         np.matmul(X, init.W0, out=self.act)
         self.act += init.b0
-        np.greater_equal(self.act, 0.0, out=mask0)
+        np.greater_equal(self.act, 0.0, out=self.mask)
         for c in _unit_tiles(init.m):
             np.matmul(X, self.state.W[:, c] - init.W0[:, c], out=self.act[:, c])
-        self.act *= mask0
+        self.act *= self.mask
         return self.act @ init.a0
 
     def input_gradient(self, slopes: np.ndarray, mask=None) -> np.ndarray:
@@ -306,23 +305,43 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     On the batch's n rows x_i, column r of the mean-loss gradients is
     g_real,r = a_r / n * sum_i l'(f(x_i), y_i) 1{<W_r, x_i> + b_r >= 0} x_i,
     that of grad_loss_real, and g_pseudo,r the same with g for f and W0_r
-    for W_r.  Neither d x m gradient is formed: both forwards run at full
-    width on one n x m workspace; then each unit tile forms its two d x tile
-    gradient blocks, whose column norms go into two length-m vectors that
-    are summed once at the end.  The bits are those of the full-width
-    gradients wherever BLAS rounds a tile's product as it rounds the same
-    columns of the full product (see the README).
+    for W_r.  Neither d x m gradient nor any n x m float is formed: one pass
+    over the unit tiles fills each tile's columns of the active masks at W
+    and at W0 and adds the tile's relu(X @ W_c + b0_c) @ a0_c into f and
+    ((X @ (W_c - W0_c)) * mask0_c) @ a0_c into g, all on one n x tile
+    buffer; a second pass forms each tile's two d x tile gradient blocks on
+    the same buffer, whose column norms go into two length-m vectors that
+    are summed once at the end.  f and g are sums of tile products, so
+    past one tile their low bits can differ from forward_real's and
+    _Workspace.pseudo_forward's; the gradients are those of the full-width
+    formula wherever the slopes agree and BLAS rounds a tile's product as
+    it rounds the same columns of the full product (see the README).
     """
     X, y = _batch(X, y)
-    init = state.init
-    ws = _Workspace(state, len(X))
-    slopes = loss.slope(ws.forward(X), y)
-    mask0 = np.empty_like(ws.mask)
-    pseudo_slopes = loss.slope(ws.pseudo_forward(X, mask0), y)
+    init, n = state.init, len(X)
+    tiles = _unit_tiles(init.m)
+    buf = np.empty(n * (tiles[-1].stop - tiles[-1].start))  # the last tile is the widest
+    mask, mask0 = np.empty((n, init.m), dtype=bool), np.empty((n, init.m), dtype=bool)
+    f, g = np.zeros(n), np.zeros(n)
+    for c in tiles:
+        act = buf[: n * (c.stop - c.start)].reshape(n, c.stop - c.start)
+        np.matmul(X, init.W0[:, c], out=act)
+        act += init.b0[c]
+        np.greater_equal(act, 0.0, out=mask0[:, c])
+        np.matmul(X, state.W[:, c] - init.W0[:, c], out=act)
+        act *= mask0[:, c]
+        g += act @ init.a0[c]
+        np.matmul(X, state.W[:, c], out=act)
+        act += init.b0[c]
+        np.greater_equal(act, 0.0, out=mask[:, c])
+        np.maximum(act, 0.0, out=act)
+        f += act @ init.a0[c]
+    slopes, pseudo_slopes = loss.slope(f, y), loss.slope(g, y)
     real_norms, diff_norms = np.empty(init.m), np.empty(init.m)
-    for c in _unit_tiles(init.m):
-        g_real = _weight_gradient(X, slopes, init.a0[c], ws.mask[:, c], ws.act[:, c])
-        diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0[:, c], ws.act[:, c])
+    for c in tiles:
+        act = buf[: n * (c.stop - c.start)].reshape(n, c.stop - c.start)
+        g_real = _weight_gradient(X, slopes, init.a0[c], mask[:, c], act)
+        diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0[:, c], act)
         diff -= g_real
         real_norms[c] = np.linalg.norm(g_real, axis=0)
         diff_norms[c] = np.linalg.norm(diff, axis=0)

@@ -324,6 +324,16 @@ class TestSweepCommand:
         assert err["error"] == "usage" and "--pert-per-point" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("m_list", ["512,0", "-4"])
+    def test_width_below_one_is_usage_error_before_any_cell(self, m_list, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "_sweep_cell_fit", lambda *cell: cells.append(cell))
+        out = tmp_path / "w.csv"
+        code = run(self.BASE + ["--m-list", m_list, "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and cells == [] and not out.exists()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage" and "--m-list" in lines[0]
+
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_is_usage_error(self, repeats, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -376,6 +386,18 @@ class TestCouplingCommand:
         assert err["error"] == "usage" and "--samples" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("m_list", ["65536,0", "-4"])
+    def test_width_below_one_is_usage_error_before_any_cell(self, m_list, tmp_path, capsys, monkeypatch):
+        # refused at parse time: a 0 after 65536 once ran the whole 65536 cell
+        # before init_network refused the 0
+        cells = []
+        monkeypatch.setattr(harness, "_coupling_cell", lambda *cell: cells.append(cell))
+        out = tmp_path / "z.csv"
+        code = run(["coupling", "--m-list", m_list, "--samples", "100", "--d", "6", "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and cells == [] and not out.exists()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage" and "--m-list" in lines[0]
+
     @pytest.mark.parametrize("R,code", [("-2", 2), ("0", 0)])
     def test_negative_R_is_usage_error(self, R, code, tmp_path, capsys):
         # a negative R would be a radius-|R| deviation with its directions flipped
@@ -393,8 +415,10 @@ class TestCouplingCommand:
             assert row[1] == "0.0" and row[4] == "0.0"  # W = W0: no unit flips
 
     def test_cell_memory(self, monkeypatch):
-        # W0 and W, tile buffers for the scan, one 20 x m batch buffer for the
-        # gradient ratio: under 5 d x m arrays, where full-width gradients took 7.3
+        # W0 and W, tile buffers for the scan, the gradient ratio's two 20 x m
+        # bool masks and tile buffer: about 3.0 d x m arrays, where the ratio's
+        # full-width 20 x m forward workspace took 4.2 and full-width
+        # gradients 7.3
         monkeypatch.setenv(harness.THREADS_ENV, "2")
         m, d = 65536, 16
         tracemalloc.start()
@@ -403,7 +427,7 @@ class TestCouplingCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * d * m * 8
+        assert peak < 3.5 * d * m * 8
 
     def test_outputs_independent_of_pool_size(self, tmp_path, monkeypatch):
         # one worker or two, every cell runs on one BLAS thread

@@ -343,6 +343,22 @@ class TestGradientCouplingRatio:
         with pytest.raises(ValueError):
             gradient_coupling_ratio(init_network(16, 5, seed=1), np.zeros((0, 5)), np.zeros(0), LOSS)
 
+    def test_traced_peak_below_one_batch_by_width_float(self):
+        # two n x m bool masks, one n x tile buffer, two length-m norm vectors
+        # and the tiles' d x tile blocks: about 0.57 n x m floats; a
+        # full-width n x m workspace alone would be one, with its mask 1.5
+        m, d, n = 65536, 16, 20
+        st = perturbed_state(init_network(m, d, seed=44), 2.0, seed=44)
+        X = uniform_domain_sample(n, d, stream(44, "ratio-peak"))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            gradient_coupling_ratio(st, X, y, LOSS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n * m * 8
+
 
 class TestPerturbedState:
     @pytest.mark.parametrize("R_", [0.0, 2.0])
