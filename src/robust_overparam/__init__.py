@@ -1,6 +1,21 @@
 """Certified step-polynomial constructions and adversarial training for wide
 two-layer ReLU networks on the constrained sphere domain."""
 
+import os
+import sys
+
+# Every command runs its BLAS work on one thread (network._blas_single_threaded),
+# so OpenBLAS starts on one: it reads OPENBLAS_NUM_THREADS only when numpy
+# loads it, and then starts no worker thread to park.  The variable is removed
+# again, so child processes see the caller's environment.  A value the caller
+# set is kept, and a numpy already imported is left as it is.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 __version__ = "0.1.0"
 
 from .adversary import Adversary, AttackConfig, input_gradient

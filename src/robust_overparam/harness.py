@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import ctypes
 import dataclasses
 import errno
 import json
@@ -41,6 +40,7 @@ from .dataspace import (
     uniform_domain_sample,
 )
 from .network import (
+    _blas_single_threaded,
     anti_concentration_check,
     coupling_scan,
     drift_2inf,
@@ -193,6 +193,8 @@ def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: i
     pert = perturbed_state(init_network(m, d, seed), R, seed)
     sample = uniform_domain_sample(samples, d, stream(seed, "coupling-sample"))
     gap, flipped = coupling_scan(pert, sample, map=_pool_map)
+    # the gradient ratio sets the cell's peak; it should not hold the sample too
+    del sample
     flips = float(flipped.sum()) / m
     ds = synth_separated(batch_n, d, delta_min=0.8, seed=seed)
     ratio = gradient_coupling_ratio(pert, ds.X, ds.y, make_loss("absolute"))
@@ -330,57 +332,6 @@ def _pool_map(fn, items):
         return [fn(it) for it in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-# (get, set) thread-count symbols of an OpenBLAS build; numpy's wheels bundle
-# scipy-openblas, which prefixes them, and 64-bit-integer builds add a suffix
-_BLAS_SYMBOLS = tuple(
-    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("scipy_", "")
-    for suffix in ("64_", "")
-)
-
-
-def _openblas_threads() -> list:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
-
-    The libraries are found in /proc/self/maps, so the list is empty where
-    that file does not exist or no OpenBLAS exporting _BLAS_SYMBOLS is loaded.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            # a mapping's path is its sixth field
-            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _blas_single_threaded():
-    """One OpenBLAS thread inside the block, each library's old count after it."""
-    controls = _openblas_threads()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
 
 
 # ---------------------------------------------------------------------------

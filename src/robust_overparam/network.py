@@ -14,9 +14,13 @@ Both coupling diagnostics stream over the hidden units, coupling_scan in
 cache-sized tiles and gradient_coupling_ratio in unit tiles, each forming
 W - W0 one tile at a time, so a coupling cell holds W0 and W but no n x m
 float, d x m difference or gradient.
+The kernels whose bits would follow the BLAS thread count run on one
+thread, inside _blas_single_threaded, wherever they are called from.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import threading
 from dataclasses import dataclass
@@ -39,6 +43,75 @@ _UNIT_TILE = 4096
 # n = 20, m = 8192 an attack took 9.1 ms with it against 13.5 ms with 4096-unit
 # tiles, and m-unit tiles added 1 MB to its traced peak
 _CAP_TILE = 1024
+
+# (get, set) thread-count symbols of an OpenBLAS build; numpy's wheels bundle
+# scipy-openblas, which prefixes them, and 64-bit-integer builds add a suffix
+_BLAS_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+)
+
+
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    The libraries are found in /proc/self/maps, so the list is empty where
+    that file does not exist or no OpenBLAS exporting _BLAS_SYMBOLS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            # a mapping's path is its sixth field
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+# open pins, and the (set, count) each library had before the outermost one;
+# process-wide, as the thread counts they guard are
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list = []
+
+
+@contextlib.contextmanager
+def _blas_single_threaded():
+    """One OpenBLAS thread inside the block, each library's old count after it.
+
+    Pins nest and may be open on several threads at once: the outermost
+    entry sets the counts to 1 and only the last exit restores them.  The
+    kernels whose bits would follow the thread count run inside one, so a
+    library caller gets the CLI's bits.
+    """
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [(set_, get()) for get, set_ in _openblas_threads()]
+            for set_, _ in _pin_saved:
+                set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for set_, count in _pin_saved:
+                    set_(count)
 
 
 @dataclass(frozen=True)
@@ -299,6 +372,7 @@ def grad_loss_real(state: NetworkState, X, y, loss) -> np.ndarray:
     return ws.weight_gradient(X, loss.slope(ws.forward(X), y))
 
 
+@_blas_single_threaded()
 def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     """sum_r ||g_pseudo,r - g_real,r||_2 / sum_r ||g_real,r||_2; inf when the denominator is 0.
 

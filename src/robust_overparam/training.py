@@ -17,6 +17,7 @@ from .dataspace import Dataset
 from .network import (
     InitSnapshot,
     NetworkState,
+    _blas_single_threaded,
     _unit_tiles,
     _Workspace,
     drift_2inf,
@@ -243,6 +244,7 @@ def _count_gram(init: InitSnapshot, S: np.ndarray) -> np.ndarray:
     return C
 
 
+@_blas_single_threaded()
 def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None = None) -> FitResult:
     """Ridge least squares for a pseudo-network matching `target` on `sample`.
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from robust_overparam import harness
+from robust_overparam import harness, network
 from robust_overparam.harness import build_parser, run, write_outputs
 from robust_overparam.polyapprox import CertificationError
 
@@ -215,7 +215,7 @@ class TestFitCommand:
     def test_independent_of_process_blas_threads(self, tmp_path):
         # the Gram product rounds differently on one and two BLAS threads, so
         # this holds only because every command runs on one
-        controls = harness._openblas_threads()
+        controls = network._openblas_threads()
         saved = [get() for get, _ in controls]
         files = []
         try:
@@ -429,6 +429,26 @@ class TestCouplingCommand:
             tracemalloc.stop()
         assert peak < 3.5 * d * m * 8
 
+    def test_sample_released_before_gradient_ratio(self, monkeypatch):
+        # the ratio sets the cell's peak, so it must not run beside the
+        # samples x d sample: 16000 more rows would add 0.98 d x m (2 MB) here
+        monkeypatch.setenv(harness.THREADS_ENV, "1")
+        m, d = 16384, 16
+        held = []
+
+        def probe(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return 0.0
+
+        monkeypatch.setattr(harness, "gradient_coupling_ratio", probe)
+        tracemalloc.start()
+        try:
+            for samples in (4000, 20000):
+                harness._coupling_cell(m, d, 2.0, samples, 20, 1)
+        finally:
+            tracemalloc.stop()
+        assert abs(held[1] - held[0]) < 0.05 * d * m * 8
+
     def test_outputs_independent_of_pool_size(self, tmp_path, monkeypatch):
         # one worker or two, every cell runs on one BLAS thread
         files = {}
@@ -482,7 +502,7 @@ class TestBlasPin:
     def two_blas_threads(self, monkeypatch):
         # start every test from 2 threads, so a count left at 1 shows
         monkeypatch.setenv(harness.THREADS_ENV, "2")
-        controls = harness._openblas_threads()
+        controls = network._openblas_threads()
         saved = [get() for get, _ in controls]
         for _, set_ in controls:
             set_(2)
@@ -491,7 +511,7 @@ class TestBlasPin:
             set_(count)
 
     def _counts(self):
-        return [get() for get, _ in harness._openblas_threads()]
+        return [get() for get, _ in network._openblas_threads()]
 
     def _run_with(self, monkeypatch, handler):
         monkeypatch.setattr(harness, "cmd_poly", handler)
@@ -504,7 +524,7 @@ class TestBlasPin:
                 loaded = {ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln}
         except OSError:
             loaded = set()
-        assert len(harness._openblas_threads()) == len(loaded)
+        assert len(network._openblas_threads()) == len(loaded)
 
     def test_pinned_inside_command_and_restored(self, monkeypatch):
         before = self._counts()
@@ -546,8 +566,8 @@ class TestBlasPin:
         assert self._counts() == before
 
     def test_no_symbol_is_a_no_op(self, monkeypatch):
-        monkeypatch.setattr(harness, "_BLAS_SYMBOLS", (("no_such_get", "no_such_set"),))
-        assert harness._openblas_threads() == []
+        monkeypatch.setattr(network, "_BLAS_SYMBOLS", (("no_such_get", "no_such_set"),))
+        assert network._openblas_threads() == []
 
         def handler(args):
             assert harness._pool_map(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]

@@ -299,6 +299,13 @@ def _full_width_ratio(st, X, y, loss):
 class TestGradientCouplingRatio:
     """The streamed ratio against the full-width gradients, bit for bit."""
 
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self):
+        # the ratio runs on one BLAS thread, so its references must too: on
+        # two, the full-width X.T @ factor at m = 4097 rounded differently
+        with network._blas_single_threaded():
+            yield
+
     @pytest.mark.parametrize("perturbed", [False, True], ids=["init", "perturbed"])
     @pytest.mark.parametrize("loss_tag", ["absolute", "huber"])
     @pytest.mark.parametrize("n", [1, 20])
