@@ -2,12 +2,12 @@
 
 Usage:
 
-    python scripts/bench_startup.py [--tree LABEL=SRC ...] [--reps N] [--out BENCH_startup.json]
+    python scripts/bench_startup.py [--tree LABEL=SRC ...] [--out BENCH_startup.json]
 
 Each --tree names a package source directory (default: change=<this repo>/src)
 to measure under LABEL; give two to compare trees, for example a checkout of
 the parent commit beside this one.  Every run is a fresh interpreter with
-OPENBLAS_NUM_THREADS unset, so OpenBLAS starts as the package leaves it:
+OpenBLAS's thread variables unset, so OpenBLAS starts as the package leaves it:
 
 - import: `python -c "import robust_overparam"`;
 - train: the `train` command at the `train-pga` benchmark flags (the
@@ -39,6 +39,8 @@ from pathlib import Path
 from bench_attack import TRAIN, _machine, _stats, _tree_id
 
 REPS = 15
+# the variables OpenBLAS reads for its thread count when it loads
+OPENBLAS_START_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS")
 METRICS = ("wall_s", "cpu_s")
 FIT = "fit --n 20 --d 10 --delta 0.8 --rho 0.05 --eps 0.3 --m 8192 --seed 7".split()
 # interpreter arguments of each child; the outputs go to its working directory
@@ -50,7 +52,7 @@ COMMANDS = {
 
 
 def _env(src: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {k: v for k, v in os.environ.items() if k not in OPENBLAS_START_VARS}
     return {**env, "PYTHONPATH": str(src)}
 
 
@@ -68,7 +70,6 @@ def main(argv=None) -> None:
     repo = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC", help="package source to measure (repeatable)")
-    parser.add_argument("--reps", type=int, default=REPS, help=f"runs per command and tree (default {REPS})")
     parser.add_argument("--out", type=Path, default=repo / "BENCH_startup.json")
     args = parser.parse_args(argv)
     trees = dict(t.split("=", 1) for t in args.tree or [f"change={repo / 'src'}"])
@@ -76,7 +77,7 @@ def main(argv=None) -> None:
     labels = list(trees)
     runs = {label: {name: [] for name in COMMANDS} for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
-        for rep in range(args.reps):
+        for rep in range(REPS):
             for name, child in COMMANDS.items():
                 for label in labels if rep % 2 == 0 else labels[::-1]:
                     runs[label][name].append(_measure(child, _env(trees[label]), tmp))
@@ -85,7 +86,7 @@ def main(argv=None) -> None:
         for k, metric in enumerate(METRICS):
             report[label][metric] = {name: _stats([r[k] for r in rs]) for name, rs in by_name.items()}
     machine = _machine()
-    machine["blas_threads"] = "OPENBLAS_NUM_THREADS unset"
+    machine["blas_threads"] = "OpenBLAS thread variables unset"
     doc = {
         "machine": machine,
         "commands": {name: shlex.join(["python", *child]) for name, child in COMMANDS.items()},

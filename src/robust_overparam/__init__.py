@@ -5,11 +5,13 @@ import os
 import sys
 
 # Every command runs its BLAS work on one thread (network._blas_single_threaded),
-# so OpenBLAS starts on one: it reads OPENBLAS_NUM_THREADS only when numpy
-# loads it, and then starts no worker thread to park.  The variable is removed
-# again, so child processes see the caller's environment.  A value the caller
-# set is kept, and a numpy already imported is left as it is.
-if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
+# so OpenBLAS starts on one: it reads its thread variables only when numpy
+# loads it, and with OPENBLAS_NUM_THREADS=1 starts no worker thread to park.
+# The variable is removed again, so child processes see the caller's
+# environment.  Any thread variable the caller set is kept (OPENBLAS_NUM_THREADS
+# would override the others), and a numpy already imported is left as it is.
+_OPENBLAS_START_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS")
+if not any(v in os.environ for v in _OPENBLAS_START_VARS) and "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401

@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from robust_overparam import network
+from robust_overparam import _OPENBLAS_START_VARS, network
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import _blas_single_threaded, gradient_coupling_ratio, init_network, perturbed_state
 from robust_overparam.rng import stream
@@ -41,12 +41,11 @@ def tasks():
 """
 
 
-def _run_script(body: str, blas_threads: str | None) -> dict:
-    """Run _COUNTS + body in a fresh interpreter with OPENBLAS_NUM_THREADS set or unset; its JSON line."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _run_script(body: str, thread_env: dict | None = None) -> dict:
+    """Run _COUNTS + body in a fresh interpreter with only thread_env of OpenBLAS's thread variables set; its JSON line."""
+    env = {k: v for k, v in os.environ.items() if k not in _OPENBLAS_START_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env.update(thread_env or {})
     proc = subprocess.run(
         [sys.executable, "-c", _COUNTS + body], env=env, capture_output=True, text=True, check=True
     )
@@ -65,19 +64,20 @@ class TestStartupDefault:
 import robust_overparam
 print(json.dumps({"counts": counts(), "tasks": tasks(), "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
-        out = _run_script(body, None)
+        out = _run_script(body)
         assert out["counts"] == [1] * len(out["counts"])
         assert out["tasks"] == 1  # no parked OpenBLAS worker beside the main thread
         assert out["env"] is None
 
-    def test_caller_value_kept(self):
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_caller_value_kept(self, var):
         body = """
 import robust_overparam
-print(json.dumps({"counts": counts(), "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
+print(json.dumps({"counts": counts(), "env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}))
 """
-        out = _run_script(body, "2")
+        out = _run_script(body, {var: "2"})
         assert out["counts"] == [2] * len(out["counts"])
-        assert out["env"] == "2"
+        assert out["env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, var: "2"}
 
     def test_numpy_first_left_as_it_was(self):
         body = """
@@ -87,7 +87,7 @@ import robust_overparam
 print(json.dumps({"before": before, "counts": counts(), "tasks_before": tasks_before, "tasks_after": tasks(),
                   "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
-        out = _run_script(body, None)
+        out = _run_script(body)
         assert out["counts"] == out["before"]
         assert out["tasks_after"] == out["tasks_before"]
         assert out["env"] is None
@@ -211,7 +211,7 @@ class TestLibraryPin:
         # keeps its bits; unpinned, max_error moved in its 9th digit
         body = """
 import numpy as np
-from robust_overparam import network
+from robust_overparam import _OPENBLAS_START_VARS, network
 from robust_overparam.harness import build_fit_instance
 from robust_overparam.training import fit_pseudo_to_target
 _, target, sample = build_fit_instance(10, 8, 0.8, 0.05, 0.3, 1, 20)
@@ -224,6 +224,6 @@ for threads in (1, 2):
     fits[threads] = [fit.max_error.hex(), fit.coeffs.tobytes().hex()]
 print(json.dumps({"fits": fits, "counts": counts()}))
 """
-        out = _run_script(body, "2")
+        out = _run_script(body, {"OPENBLAS_NUM_THREADS": "2"})
         assert out["counts"] == [2] * len(out["counts"])  # the fit restored the caller's count
         assert out["fits"]["1"] == out["fits"]["2"]
