@@ -13,7 +13,7 @@ workspace.
 Both coupling diagnostics stream over the hidden units, coupling_scan in
 cache-sized tiles and gradient_coupling_ratio in unit tiles, each forming
 W - W0 one tile at a time, so a coupling cell holds W0 and W but no n x m
-float, d x m difference or gradient.
+array, d x m difference or gradient.
 The kernels whose bits would follow the BLAS thread count run on one
 thread, inside _blas_single_threaded, wherever they are called from.
 """
@@ -379,43 +379,52 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     On the batch's n rows x_i, column r of the mean-loss gradients is
     g_real,r = a_r / n * sum_i l'(f(x_i), y_i) 1{<W_r, x_i> + b_r >= 0} x_i,
     that of grad_loss_real, and g_pseudo,r the same with g for f and W0_r
-    for W_r.  Neither d x m gradient nor any n x m float is formed: one pass
-    over the unit tiles fills each tile's columns of the active masks at W
-    and at W0 and adds the tile's relu(X @ W_c + b0_c) @ a0_c into f and
-    ((X @ (W_c - W0_c)) * mask0_c) @ a0_c into g, all on one n x tile
-    buffer; a second pass forms each tile's two d x tile gradient blocks on
-    the same buffer, whose column norms go into two length-m vectors that
-    are summed once at the end.  f and g are sums of tile products, so
-    past one tile their low bits can differ from forward_real's and
-    _Workspace.pseudo_forward's; the gradients are those of the full-width
+    for W_r.  Neither d x m gradient nor any n x m array is formed: one pass
+    over the unit tiles forms each tile's active masks at W and at W0 and
+    adds the tile's relu(X @ W_c + b0_c) @ a0_c into f and
+    ((X @ (W_c - W0_c)) * mask0_c) @ a0_c into g; a second pass forms the
+    two masks again from the same products and then the tile's two d x tile
+    gradient blocks, whose column norms go into two length-m vectors that
+    are summed once at the end.  Both passes work on one n x tile float
+    buffer and two n x tile bool buffers.  f and g are sums of tile
+    products, so past one tile their low bits can differ from forward_real's
+    and _Workspace.pseudo_forward's; the gradients are those of the full-width
     formula wherever the slopes agree and BLAS rounds a tile's product as
     it rounds the same columns of the full product (see the README).
     """
     X, y = _batch(X, y)
     init, n = state.init, len(X)
     tiles = _unit_tiles(init.m)
-    buf = np.empty(n * (tiles[-1].stop - tiles[-1].start))  # the last tile is the widest
-    mask, mask0 = np.empty((n, init.m), dtype=bool), np.empty((n, init.m), dtype=bool)
-    f, g = np.zeros(n), np.zeros(n)
-    for c in tiles:
-        act = buf[: n * (c.stop - c.start)].reshape(n, c.stop - c.start)
+    width = tiles[-1].stop - tiles[-1].start  # the last tile is the widest
+    buf = np.empty(n * width)
+    mask_buf, mask0_buf = np.empty(n * width, dtype=bool), np.empty(n * width, dtype=bool)
+
+    def tile_masks(c):
+        """(act, mask, mask0) of tile c, with act left holding X @ W_c + b0_c."""
+        shape = (n, c.stop - c.start)
+        act, mask, mask0 = (b[: shape[0] * shape[1]].reshape(shape) for b in (buf, mask_buf, mask0_buf))
         np.matmul(X, init.W0[:, c], out=act)
         act += init.b0[c]
-        np.greater_equal(act, 0.0, out=mask0[:, c])
-        np.matmul(X, state.W[:, c] - init.W0[:, c], out=act)
-        act *= mask0[:, c]
-        g += act @ init.a0[c]
+        np.greater_equal(act, 0.0, out=mask0)
         np.matmul(X, state.W[:, c], out=act)
         act += init.b0[c]
-        np.greater_equal(act, 0.0, out=mask[:, c])
+        np.greater_equal(act, 0.0, out=mask)
+        return act, mask, mask0
+
+    f, g = np.zeros(n), np.zeros(n)
+    for c in tiles:
+        act, mask, mask0 = tile_masks(c)
         np.maximum(act, 0.0, out=act)
         f += act @ init.a0[c]
+        np.matmul(X, state.W[:, c] - init.W0[:, c], out=act)
+        act *= mask0
+        g += act @ init.a0[c]
     slopes, pseudo_slopes = loss.slope(f, y), loss.slope(g, y)
     real_norms, diff_norms = np.empty(init.m), np.empty(init.m)
     for c in tiles:
-        act = buf[: n * (c.stop - c.start)].reshape(n, c.stop - c.start)
-        g_real = _weight_gradient(X, slopes, init.a0[c], mask[:, c], act)
-        diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0[:, c], act)
+        act, mask, mask0 = tile_masks(c)
+        g_real = _weight_gradient(X, slopes, init.a0[c], mask, act)
+        diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0, act)
         diff -= g_real
         real_norms[c] = np.linalg.norm(g_real, axis=0)
         diff_norms[c] = np.linalg.norm(diff, axis=0)
@@ -454,6 +463,7 @@ def _scan_block(state: NetworkState, X: np.ndarray, cols: int):
     return np.max(np.abs(diff)), flipped
 
 
+@_blas_single_threaded()
 def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarray]:
     """Network-vs-pseudo-network comparison over the sample, in one pass.
 
@@ -470,7 +480,9 @@ def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarr
     neither a tile nor its d x cols W - W0 outgrows _TILE elements.  map runs
     the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
     combine by a NaN-propagating max and masks by an OR, folded into one mask
-    as each block finishes: no bit depends on map.
+    as each block finishes: no bit depends on map.  The scan runs pinned to
+    one BLAS thread, so blocks on a caller's pool do not each start every
+    OpenBLAS thread.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:

@@ -26,10 +26,16 @@ from .network import (
 
 DRIFT_SLACK = 1e-9
 GRAD_SLACK = 1e-12
-# units per tile of the pseudo-network fit: at n = 420 a tile's float64 mask
-# and its float32 copy take 5.2 MB, and the fit's traced peak is 8.4 MB; on 2
-# cores 4096-unit tiles raised that to 29 MB and fit m = 65536 at most ~15% faster
+# units per tile of the pseudo-network fit's coefficient pass: at n = 420 a
+# tile's float64 mask takes 3.4 MB; on 2 cores 4096-unit tiles raised the fit's
+# traced peak to 29 MB and fit m = 65536 at most ~15% faster
 _FIT_TILE = 1024
+# units per tile of its count Gram, whose tile holds a float64 mask, its float32
+# copy and their n x n product beside C: at n = 420 the fit's traced peak is
+# 4.9 MB at m = 8192 and 65536 (8.3 MB with 1024-unit tiles); 512 was
+# the fastest of 256-1024, and 256 took the peak to 3.6 and 4.5 MB but the fit
+# 9-12% longer
+_GRAM_TILE = 512
 
 
 class AbsoluteLoss:
@@ -212,14 +218,14 @@ class FitResult:
     ridge: float
 
 
-def _activation_tiles(init: InitSnapshot, S: np.ndarray):
-    """Yield (c, M_c) over the unit tiles c of _FIT_TILE units, where
+def _activation_tiles(init: InitSnapshot, S: np.ndarray, width: int):
+    """Yield (c, M_c) over the unit tiles c of width units, where
     M_c = 1{S @ W0[:, c] + b0[c] >= 0} as float64 0/1.
 
     Every M_c is formed in place in one buffer sized for the last (widest)
     tile, so a consumer must be done with it before asking for the next.
     """
-    tiles = _unit_tiles(init.m, _FIT_TILE)
+    tiles = _unit_tiles(init.m, width)
     buf = np.empty(len(S) * (tiles[-1].stop - tiles[-1].start))
     for c in tiles:
         mask = buf[: len(S) * (c.stop - c.start)].reshape(len(S), -1)
@@ -232,13 +238,13 @@ def _activation_tiles(init: InitSnapshot, S: np.ndarray):
 def _count_gram(init: InitSnapshot, S: np.ndarray) -> np.ndarray:
     """C = M M^T, the number of units active at both points, as float64.
 
-    Each tile's M_c M_c^T is taken in float32: its entries are 0 or 1 and
-    it sums fewer than 2 * _FIT_TILE < 2^24 of them, so every partial sum is
-    an exact integer.  C is exact and does not depend on BLAS blocking or
-    thread count.
+    Each _GRAM_TILE-unit tile's M_c M_c^T is taken in float32: its entries
+    are 0 or 1 and it sums fewer than 2 * _GRAM_TILE < 2^24 of them, so every
+    partial sum is an exact integer.  C is exact and does not depend on the
+    tile width, BLAS blocking or thread count.
     """
     C = np.zeros((len(S), len(S)))
-    for _, mask in _activation_tiles(init, S):
+    for _, mask in _activation_tiles(init, S, _GRAM_TILE):
         on = mask.astype(np.float32)
         C += on @ on.T
     return C
@@ -256,16 +262,18 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
     Every |a0_r| is m^(-1/3), so Phi Phi^T = (|a0| / 2)^2 C, where C is the
     exact activation-count Gram of _count_gram; a0 entries of unequal
     magnitude raise ValueError.  The features are formed one unit tile at a
-    time, twice: once for C, then again for coeffs = Phi^T alpha and the
-    residual Phi coeffs - target, so the fit holds n x n matrices and
-    n x tile buffers but no n x m array.
+    time, twice: once for C, in _GRAM_TILE-unit tiles, then, with K dropped
+    once alpha is solved, in _FIT_TILE-unit tiles for coeffs = Phi^T alpha
+    and the residual Phi coeffs - target.  So the fit holds n x n matrices
+    and n x tile buffers but no n x m array, and never an n x n matrix
+    beside the wider tiles.
     """
     S = np.atleast_2d(np.asarray(sample, dtype=float))
     vals = np.asarray(target(S) if callable(target) else target, dtype=float)
     if vals.shape != (len(S),):
         raise ValueError("target values must be one per sample row")
-    a = np.abs(init.a0)
-    if np.any(a != a[0]):
+    a = abs(init.a0[0])
+    if np.any(np.abs(init.a0) != a):
         raise ValueError("a0 entries must all have the same magnitude")
     K = _count_gram(init, S)
     if not K.any():
@@ -274,12 +282,13 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
     lam = 1e-8 * n if ridge is None else float(ridge)
     if not 0 < lam < math.inf:  # written so that a NaN fails
         raise ValueError(f"ridge must be finite and positive, got {lam!r}")
-    K *= (0.5 * a[0]) ** 2
+    K *= (0.5 * a) ** 2
     K[np.diag_indices_from(K)] += lam
     alpha = np.linalg.solve(K, vals)
+    del K
     coeffs = np.empty(init.m)
     fitted = np.zeros(n)
-    for c, mask in _activation_tiles(init, S):
+    for c, mask in _activation_tiles(init, S, _FIT_TILE):
         phi_c = 0.5 * init.a0[c]
         np.multiply(alpha @ mask, phi_c, out=coeffs[c])
         fitted += mask @ (phi_c * coeffs[c])

@@ -105,6 +105,8 @@ class TestLibraryPin:
         saved = [get() for get, _ in controls]
         for _, set_ in controls:
             set_(2)
+        # OpenBLAS started on one thread under tests/conftest.py, and can still start a second
+        assert self._counts() == [2] * len(controls)
         yield
         for (_, set_), count in zip(controls, saved):
             set_(count)
@@ -227,3 +229,45 @@ print(json.dumps({"fits": fits, "counts": counts()}))
         out = _run_script(body, {"OPENBLAS_NUM_THREADS": "2"})
         assert out["counts"] == [2] * len(out["counts"])  # the fit restored the caller's count
         assert out["fits"]["1"] == out["fits"]["2"]
+
+    def test_pooled_scan_independent_of_blas_threads(self):
+        # numpy loads first on two threads; the pin around coupling_scan puts
+        # every block on the 2-worker pool on one, whatever the caller's count
+        body = """
+import concurrent.futures
+import numpy as np
+from robust_overparam import network
+from robust_overparam.dataspace import uniform_domain_sample
+from robust_overparam.rng import stream
+st = network.perturbed_state(network.init_network(4096, 16, 5), 2.0, 5)
+X = uniform_domain_sample(1000, 16, stream(5, "scan"))
+inside, scans = [], {}
+with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+    def pool_map(scan, starts):
+        def block(lo):
+            inside.append(counts())
+            return scan(lo)
+        return pool.map(block, starts)
+    for threads in (1, 2):
+        for _, set_ in network._openblas_threads():
+            set_(threads)
+        gap, flipped = network.coupling_scan(st, X, map=pool_map)
+        scans[threads] = [gap.hex(), flipped.tobytes().hex()]
+print(json.dumps({"scans": scans, "inside": inside, "counts": counts()}))
+"""
+        out = _run_script(body, {"OPENBLAS_NUM_THREADS": "2"})
+        assert len(out["inside"]) == 8 and all(c == [1] * len(out["counts"]) for c in out["inside"])
+        assert out["counts"] == [2] * len(out["counts"])  # the scan restored the caller's count
+        assert out["scans"]["1"] == out["scans"]["2"]
+
+
+@pytest.mark.skipif(
+    any(v in os.environ for v in _OPENBLAS_START_VARS), reason="the caller set OpenBLAS's thread count"
+)
+def test_suite_runs_on_one_thread():
+    # tests/conftest.py imports the package before any test module imports
+    # numpy, so the calls the suite makes outside a pin run as the CLI's do
+    controls = network._openblas_threads()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found")
+    assert [get() for get, _ in controls] == [1] * len(controls)

@@ -415,19 +415,20 @@ class TestCouplingCommand:
             assert row[1] == "0.0" and row[4] == "0.0"  # W = W0: no unit flips
 
     def test_cell_memory(self, monkeypatch):
-        # W0 and W, tile buffers for the scan, the gradient ratio's two 20 x m
-        # bool masks and tile buffer: about 3.0 d x m arrays, where the ratio's
-        # full-width 20 x m forward workspace took 4.2 and full-width
-        # gradients 7.3
+        # W0 and W, the scan's tile buffers, the gradient ratio's tile buffers
+        # and norm vectors: about 2.57 d x m arrays, where the ratio's two
+        # 20 x m bool masks took 2.86, its full-width 20 x m forward workspace
+        # 4.2 and full-width gradients 7.3.  The cell runs pinned, as in the CLI
         monkeypatch.setenv(harness.THREADS_ENV, "2")
         m, d = 65536, 16
-        tracemalloc.start()
-        try:
-            harness._coupling_cell(m, d, 2.0, 1000, 20, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * d * m * 8
+        with network._blas_single_threaded():
+            tracemalloc.start()
+            try:
+                harness._coupling_cell(m, d, 2.0, 1000, 20, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.65 * d * m * 8
 
     def test_sample_released_before_gradient_ratio(self, monkeypatch):
         # the ratio sets the cell's peak, so it must not run beside the

@@ -350,8 +350,24 @@ class TestFitPseudo:
         resid = np.max(np.abs(Phi @ fit.coeffs - vals))
         assert fit.max_error == pytest.approx(resid, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("m", [300, 1025, 9000])
+    def test_count_gram_exact_at_any_tile_width(self, m, monkeypatch):
+        # every Gram tile width gives the exact integer counts, so the fit's
+        # bits do not depend on _GRAM_TILE
+        from robust_overparam import training
+        from robust_overparam.harness import build_fit_instance
+
+        _, _, S = build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)
+        init = init_network(m, 10, seed=55).init
+        mask = ((S @ init.W0 + init.b0) >= 0).astype(np.int64)
+        for width in (256, 512, 1024):
+            monkeypatch.setattr(training, "_GRAM_TILE", width)
+            assert np.array_equal(_count_gram(init, S), mask @ mask.T)
+
     def test_fit_holds_no_n_by_m_array(self):
-        # a 420 x 65536 float64 array alone is 220 MB
+        # a 420 x 65536 float64 array alone is 220 MB; the fit's n x tile
+        # buffers peak at 4.9 MB, and 8.8 MB with the Gram in 1024-unit tiles,
+        # K kept through the coefficient pass and |a0| held
         from robust_overparam.harness import build_fit_instance
 
         _, target, sample = build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)
@@ -363,7 +379,7 @@ class TestFitPseudo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 5.2e6
 
     def test_a0_magnitudes_validated(self):
         st = init_network(64, 4, seed=54)
