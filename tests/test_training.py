@@ -353,13 +353,14 @@ class TestFitPseudo:
     @pytest.mark.parametrize("m", [300, 1025, 9000])
     def test_count_gram_exact_at_any_tile_width(self, m, monkeypatch):
         # every Gram tile width gives the exact integer counts, so the fit's
-        # bits do not depend on _GRAM_TILE
+        # bits do not depend on _GRAM_TILE; the float64 reference is exact
+        # too, as every partial sum is an integer below 2^53
         from robust_overparam import training
         from robust_overparam.harness import build_fit_instance
 
         _, _, S = build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)
         init = init_network(m, 10, seed=55).init
-        mask = ((S @ init.W0 + init.b0) >= 0).astype(np.int64)
+        mask = ((S @ init.W0 + init.b0) >= 0).astype(float)
         for width in (256, 512, 1024):
             monkeypatch.setattr(training, "_GRAM_TILE", width)
             assert np.array_equal(_count_gram(init, S), mask @ mask.T)
