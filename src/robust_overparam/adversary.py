@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataspace import HEAD_RADIUS, validate_domain
-from .network import NetworkState, _CapWorkspace, _Workspace
+from .network import NetworkState, _blas_single_threaded, _CapWorkspace, _Workspace
 from .rng import stream
 
 _PROJECT_TOL = 1e-9
@@ -52,6 +52,7 @@ class AttackConfig:
             raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
 
 
+@_blas_single_threaded()
 def input_gradient(state: NetworkState, x, y, loss) -> np.ndarray:
     """Subgradient of the loss in the input: l'(f(x), y) sum_r a_r W_r 1{active}."""
     x = np.asarray(x, dtype=float)
@@ -146,6 +147,7 @@ def _random_cap_batch(X: np.ndarray, rho: float, rngs) -> np.ndarray:
     return out
 
 
+@_blas_single_threaded()
 def attack_batch(state, X, y, loss, cfg: AttackConfig, tag: int = 0) -> np.ndarray:
     """Multi-restart projected gradient ascent over a batch, one RNG stream per example.
 

@@ -369,6 +369,13 @@ def float_list(text: str) -> list[float]:
     return [finite_float(v) for v in text.split(",")]
 
 
+def _data_flags(parser, input_flag: str) -> None:
+    """The dataset's source: a CSV file or a synthetic instance, never both."""
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument(input_flag, dest="input", type=str, default=None)
+    source.add_argument("--synth", type=str, default=None, help="n=..,d=..,delta=..")
+
+
 def _fit_flags(parser) -> None:
     """Flags shared by `fit` and `sweep`."""
     parser.add_argument("--n", type=int, default=20)
@@ -404,8 +411,7 @@ def build_parser():
     poly.set_defaults(func=cmd_poly)
 
     sep = sub.add_parser("separability", help="measure pairwise separation")
-    sep.add_argument("--input", type=str, default=None)
-    sep.add_argument("--synth", type=str, default=None, help="n=..,d=..,delta=..")
+    _data_flags(sep, "--input")
     sep.add_argument("--rho", type=finite_float, required=True)
     sep.add_argument("--out", type=str, required=True)
     sep.add_argument("--hist", type=str, default=None)
@@ -440,8 +446,7 @@ def build_parser():
     fit.set_defaults(func=cmd_fit)
 
     tr = sub.add_parser("train", help="adversarial training run")
-    tr.add_argument("--data", dest="input", type=str, default=None)
-    tr.add_argument("--synth", type=str, default=None, help="n=..,d=..,delta=..")
+    _data_flags(tr, "--data")
     tr.add_argument("--rho", type=finite_float, required=True)
     tr.add_argument("--m", type=int, required=True)
     tr.add_argument("--eps", type=finite_float, required=True)

@@ -344,6 +344,7 @@ class _CapWorkspace:
         return slopes[:, None] * self.grad.reshape(len(slopes), self.grad.shape[-1])
 
 
+@_blas_single_threaded()
 def forward_real(state: NetworkState, x) -> float | np.ndarray:
     """f(x) = sum_r a_r relu(<W_r, x> + b_r); accepts one point or a batch."""
     x = np.asarray(x, dtype=float)
@@ -361,6 +362,7 @@ def _batch(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+@_blas_single_threaded()
 def grad_loss_real(state: NetworkState, X, y, loss) -> np.ndarray:
     """d x m subgradient of the mean loss, with relu'(z) = 1{z >= 0}.
 

@@ -142,6 +142,7 @@ class TrainingResult:
     violations: list[str]
 
 
+@_blas_single_threaded()
 def adversarial_train(
     state: NetworkState,
     dataset: Dataset,

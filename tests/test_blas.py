@@ -11,10 +11,17 @@ import numpy as np
 import pytest
 
 from robust_overparam import _OPENBLAS_START_VARS, network
+from robust_overparam.adversary import Adversary, AttackConfig, attack_batch, input_gradient
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
-from robust_overparam.network import _blas_single_threaded, gradient_coupling_ratio, init_network, perturbed_state
+from robust_overparam.network import (
+    _blas_single_threaded,
+    grad_loss_real,
+    gradient_coupling_ratio,
+    init_network,
+    perturbed_state,
+)
 from robust_overparam.rng import stream
-from robust_overparam.training import fit_pseudo_to_target, make_loss
+from robust_overparam.training import HyperParams, adversarial_train, fit_pseudo_to_target, make_loss
 
 SRC = os.path.dirname(os.path.dirname(network.__file__))
 
@@ -207,6 +214,62 @@ class TestLibraryPin:
         gradient_coupling_ratio(st, ds.X, ds.y, types.SimpleNamespace(slope=slope))
         assert seen == [[1] * len(seen[0])] * 2
         assert self._counts() == [2] * len(seen[0])
+
+    @pytest.mark.parametrize("entry", ["grad_loss_real", "input_gradient", "attack_batch", "adversarial_train"])
+    def test_entry_point_runs_pinned(self, entry):
+        seen = []
+        loss = make_loss("absolute")
+
+        def slope(f, y):
+            seen.append(self._counts())
+            return loss.slope(f, y)
+
+        probe = types.SimpleNamespace(value=loss.value, slope=slope)
+        st = init_network(64, 4, seed=3)
+        ds = synth_separated(6, 4, 0.8, seed=3)
+        cfg = AttackConfig(rho=0.05, steps=2, restarts=2, seed=3)
+        calls = {
+            "grad_loss_real": lambda: grad_loss_real(st, ds.X, ds.y, probe),
+            "input_gradient": lambda: input_gradient(st, ds.X, ds.y, probe),
+            "attack_batch": lambda: attack_batch(st, ds.X, ds.y, probe, cfg),
+            "adversarial_train": lambda: adversarial_train(
+                st, ds, Adversary("identity", cfg), probe, HyperParams(T=2, eta=0.01, R=1.0, eps=0.3)
+            ),
+        }
+        calls[entry]()
+        assert seen and all(counts == [1] * len(counts) for counts in seen)
+        assert self._counts() == [2] * len(seen[0])
+
+    def test_library_forward_and_gradient_independent_of_blas_threads(self):
+        # numpy loads first on two threads, so only the pins inside
+        # forward_real and grad_loss_real keep their bits; unpinned, every
+        # output here but forward_real's at m = 300 moved
+        body = """
+import hashlib
+import numpy as np
+from robust_overparam import network
+from robust_overparam.dataspace import uniform_domain_sample
+from robust_overparam.rng import stream
+from robust_overparam.training import make_loss
+X = uniform_domain_sample(700, 10, stream(5, "batch"))
+y = np.where(X[:, 0] >= 0, 1.0, -1.0)
+loss = make_loss("absolute")
+states = {m: network.init_network(m, 10, 5) for m in (300, 4097, 8192)}
+digests = {}
+for threads in (1, 2):
+    for _, set_ in network._openblas_threads():
+        set_(threads)
+    digests[threads] = {
+        f"{name} m={m}": hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+        for m, st in states.items()
+        for name, out in (("forward_real", network.forward_real(st, X)),
+                          ("grad_loss_real", network.grad_loss_real(st, X, y, loss)))
+    }
+print(json.dumps({"digests": digests, "counts": counts()}))
+"""
+        out = _run_script(body, {"OPENBLAS_NUM_THREADS": "2"})
+        assert out["counts"] == [2] * len(out["counts"])  # the calls restored the caller's count
+        assert out["digests"]["1"] == out["digests"]["2"]
 
     def test_library_fit_independent_of_blas_threads(self):
         # numpy loads first on two threads, so only the pin inside the fit

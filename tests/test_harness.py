@@ -814,6 +814,34 @@ class TestOutputNamesAnInput:
         assert (tmp_path / name).read_bytes() == data
 
 
+class TestOneDataSource:
+    """A CSV input and --synth together are refused, also when one of them comes from --config."""
+
+    DATA = b"f0,f1,label\n0.6,0.1,1\n-0.2,0.7,-1\n0.1,-0.6,1\n"
+    SYNTH = "n=5,d=4,delta=0.5"
+    SEPARABILITY = ["separability", "--rho", "0.01", "--out", "r.json"]
+    TRAIN = ["train", "--rho", "0.05", "--eps", "0.5", "--m", "64", "--R", "1", "--summary", "s.json"]
+
+    @pytest.mark.parametrize("argv,config,input_flag", [
+        (SEPARABILITY + ["--input", "d.csv", "--synth", SYNTH], None, "--input"),
+        (SEPARABILITY + ["--input", "d.csv"], {"synth": SYNTH}, "--input"),
+        (TRAIN + ["--data", "d.csv", "--synth", SYNTH], None, "--data"),
+        (TRAIN + ["--synth", SYNTH], {"input": "d.csv"}, "--data"),
+    ], ids=["separability-flags", "separability-config", "train-flags", "train-config"])
+    def test_exit_two_with_one_usage_line(self, argv, config, input_flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_bytes(self.DATA)
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv = argv + ["--config", "c.json"]
+        assert run(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "usage" and input_flag in err["message"] and "--synth" in err["message"]
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "s.json").exists()
+
+
 class TestUnallocatableSize:
     """A size past the address space exits 2 with numpy's message, not a traceback.
 
