@@ -10,10 +10,10 @@ The PGA attack evaluates the network on _CapWorkspace, which folds the units
 that keep one sign on an example's cap into one linear term per example, or
 evaluates every unit where gathering the others would outweigh an n x m
 workspace.
-Both coupling diagnostics stream over the hidden units, coupling_scan in
-cache-sized tiles and gradient_coupling_ratio in unit tiles, each forming
-W - W0 one tile at a time, so a coupling cell holds W0 and W but no n x m
-array, d x m difference or gradient.
+Every unit tile's pre-activations X @ W_c + b0_c, in the pseudo-network
+fit, the cap split and both coupling diagnostics, come from _pre_activations.
+The coupling diagnostics form W - W0 one tile at a time, so a coupling cell
+holds W0 and W but no n x m array, d x m difference or gradient.
 The kernels whose bits would follow the BLAS thread count run on one
 thread, inside _blas_single_threaded, wherever they are called from.
 """
@@ -32,9 +32,9 @@ from .rng import stream
 
 # rows of X are points; W has one column per hidden unit
 _CHUNK = 256
-# elements per coupling_scan tile: its two float and two bool workspaces take
-# 1.1 MiB, inside a 2 MiB L2 cache; on a 2-core Xeon with that L2, 65536 was
-# the fastest of 16384-131072
+# elements per coupling_scan tile but its last: its two float and two bool
+# workspaces take 1.1 MiB, inside a 2 MiB L2 cache; on a 2-core Xeon with that
+# L2, 65536 was the fastest of 16384-131072
 _TILE = 65536
 # units per tile of gradient_coupling_ratio and of the pseudo forward's
 # X @ (W - W0); see _unit_tiles for the last tile
@@ -81,11 +81,13 @@ def _openblas_threads() -> list:
     return found
 
 
-# open pins, and the (set, count) each library had before the outermost one;
-# process-wide, as the thread counts they guard are
+# open pins, the (set, count) each library had before the outermost one, and
+# _openblas_threads() as the first outermost pin found it; process-wide, as
+# the thread counts they guard are
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list = []
+_blas_controls: list | None = None
 
 
 @contextlib.contextmanager
@@ -94,13 +96,16 @@ def _blas_single_threaded():
 
     Pins nest and may be open on several threads at once: the outermost
     entry sets the counts to 1 and only the last exit restores them.  The
-    kernels whose bits would follow the thread count run inside one, so a
-    library caller gets the CLI's bits.
+    libraries are looked up once, at the first outermost entry.  The kernels
+    whose bits would follow the thread count run inside one, so a library
+    caller gets the CLI's bits.
     """
-    global _pin_depth, _pin_saved
+    global _pin_depth, _pin_saved, _blas_controls
     with _pin_lock:
         if _pin_depth == 0:
-            _pin_saved = [(set_, get()) for get, set_ in _openblas_threads()]
+            if _blas_controls is None:
+                _blas_controls = _openblas_threads()
+            _pin_saved = [(set_, get()) for get, set_ in _blas_controls]
             for set_, _ in _pin_saved:
                 set_(1)
         _pin_depth += 1
@@ -159,15 +164,37 @@ def init_network(m: int, d: int, seed: int) -> NetworkState:
     return NetworkState(init=InitSnapshot(W0=W0, b0=b0, a0=a0), W=W0)
 
 
-def _unit_tiles(m: int, width: int = _UNIT_TILE) -> list[slice]:
-    """Column slices of width units; the last one takes the remainder.
+def _unit_tiles(m: int, width: int = _UNIT_TILE):
+    """Yield column slices of width units; the last one takes the remainder.
 
     So no tile is narrower than min(m, width): numpy takes a one-column
     product through gemv and a one-column norm through a pairwise sum, and
-    both round differently from the full-width ones.
+    both round differently from the full-width ones.  The slices are made
+    as they are asked for, since a coupling block walks up to m / 256 tiles.
     """
-    starts = range(0, max(m - width, 0) + 1, width)
-    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], m])]
+    last = max(m - width, 0) // width * width  # the last tile's first unit
+    return (slice(lo, m if lo == last else lo + width) for lo in range(0, last + 1, width))
+
+
+def _tile_buffer(n: int, m: int, width: int, dtype=float) -> np.ndarray:
+    """A flat buffer for n x the last, widest tile of _unit_tiles(m, width)."""
+    return np.empty(n * min(m, width + m % width), dtype=dtype)
+
+
+def _pre_activations(X, W, b0, width: int, buf=None):
+    """Yield (c, X @ W[:, c] + b0[c]) over the tiles c of _unit_tiles(m, width).
+
+    Each is formed in place at the head of buf, a flat float buffer the
+    caller owns from _tile_buffer, or one made here when buf is None; so a
+    consumer must be done with a tile before asking for the next.  The
+    view's shape is written out, as (n, -1) is ambiguous at n = 0.
+    """
+    buf = _tile_buffer(len(X), W.shape[1], width) if buf is None else buf
+    for c in _unit_tiles(W.shape[1], width):
+        pre = buf[: len(X) * (c.stop - c.start)].reshape(len(X), c.stop - c.start)
+        np.matmul(X, W[:, c], out=pre)
+        pre += b0[c]
+        yield c, pre
 
 
 def _weight_gradient(X, slopes: np.ndarray, a0: np.ndarray, mask, factor) -> np.ndarray:
@@ -277,15 +304,10 @@ class _CapWorkspace:
     def __init__(self, state: NetworkState, X: np.ndarray, radius: float, k: int):
         W, init = state.W, state.init
         n, d = X.shape
-        tiles = _unit_tiles(init.m, _CAP_TILE)
-        buf = np.empty(n * max(c.stop - c.start for c in tiles))
         unstable = np.empty((n, init.m), dtype=bool)
         counts = np.zeros(n, dtype=np.int64)
         self.v, self.c = np.zeros((n, d)), np.zeros(n)
-        for c in tiles:
-            pre = buf[: n * (c.stop - c.start)].reshape(n, c.stop - c.start)
-            np.matmul(X, W[:, c], out=pre)
-            pre += init.b0[c]
+        for c, pre in _pre_activations(X, W, init.b0, _CAP_TILE):
             stable = _stable_on_cap(pre, W[:, c], radius)
             np.logical_not(stable, out=unstable[:, c])
             counts += unstable[:, c].sum(axis=1)
@@ -296,7 +318,7 @@ class _CapWorkspace:
             pre *= init.a0[c]
             self.v += pre @ W[:, c].T
             self.c += pre @ init.b0[c]
-        del buf, pre, stable
+        del pre, stable
         u = int(counts.max(initial=0))
         self.full = None
         if d * u > init.m:
@@ -388,7 +410,8 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     two masks again from the same products and then the tile's two d x tile
     gradient blocks, whose column norms go into two length-m vectors that
     are summed once at the end.  Both passes work on one n x tile float
-    buffer and two n x tile bool buffers.  f and g are sums of tile
+    buffer, where each tile's W product is formed over its W0 one once mask0
+    is taken, and two n x tile bool buffers.  f and g are sums of tile
     products, so past one tile their low bits can differ from forward_real's
     and _Workspace.pseudo_forward's; the gradients are those of the full-width
     formula wherever the slopes agree and BLAS rounds a tile's product as
@@ -396,26 +419,20 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     """
     X, y = _batch(X, y)
     init, n = state.init, len(X)
-    tiles = _unit_tiles(init.m)
-    width = tiles[-1].stop - tiles[-1].start  # the last tile is the widest
-    buf = np.empty(n * width)
-    mask_buf, mask0_buf = np.empty(n * width, dtype=bool), np.empty(n * width, dtype=bool)
+    buf, mask_buf, mask0_buf = (_tile_buffer(n, init.m, _UNIT_TILE, t) for t in (float, bool, bool))
 
-    def tile_masks(c):
-        """(act, mask, mask0) of tile c, with act left holding X @ W_c + b0_c."""
-        shape = (n, c.stop - c.start)
-        act, mask, mask0 = (b[: shape[0] * shape[1]].reshape(shape) for b in (buf, mask_buf, mask0_buf))
-        np.matmul(X, init.W0[:, c], out=act)
-        act += init.b0[c]
-        np.greater_equal(act, 0.0, out=mask0)
-        np.matmul(X, state.W[:, c], out=act)
-        act += init.b0[c]
-        np.greater_equal(act, 0.0, out=mask)
-        return act, mask, mask0
+    def tile_masks():
+        """Yield (c, act, mask, mask0) per tile, with act left holding X @ W_c + b0_c."""
+        pres = _pre_activations(X, state.W, init.b0, _UNIT_TILE, buf)
+        for c, pre0 in _pre_activations(X, init.W0, init.b0, _UNIT_TILE, buf):
+            mask, mask0 = (b[: pre0.size].reshape(pre0.shape) for b in (mask_buf, mask0_buf))
+            np.greater_equal(pre0, 0.0, out=mask0)
+            _, act = next(pres)  # over pre0, in buf
+            np.greater_equal(act, 0.0, out=mask)
+            yield c, act, mask, mask0
 
     f, g = np.zeros(n), np.zeros(n)
-    for c in tiles:
-        act, mask, mask0 = tile_masks(c)
+    for c, act, mask, mask0 in tile_masks():
         np.maximum(act, 0.0, out=act)
         f += act @ init.a0[c]
         np.matmul(X, state.W[:, c] - init.W0[:, c], out=act)
@@ -423,8 +440,7 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
         g += act @ init.a0[c]
     slopes, pseudo_slopes = loss.slope(f, y), loss.slope(g, y)
     real_norms, diff_norms = np.empty(init.m), np.empty(init.m)
-    for c in tiles:
-        act, mask, mask0 = tile_masks(c)
+    for c, act, mask, mask0 in tile_masks():
         g_real = _weight_gradient(X, slopes, init.a0[c], mask, act)
         diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0, act)
         diff -= g_real
@@ -435,23 +451,19 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
 
 
 def _scan_block(state: NetworkState, X: np.ndarray, cols: int):
-    """One row block's (max |f - g|, flip mask), in tiles of cols units.
+    """One row block's (max |f - g|, flip mask), over _unit_tiles(m, cols).
 
     The block makes its own four tile buffers (float, float, bool, bool), so
-    blocks can run on any thread, and forms each tile's W - W0 as a d x cols
+    blocks can run on any thread, and forms each tile's W - W0 as a d x tile
     difference instead of reading one d x m W - W0; its f - g is the sum of
     its tiles' matvecs, in column order.
     """
     init = state.init
-    bufs = [np.empty(len(X) * cols, dtype=t) for t in (float, float, bool, bool)]
+    pre_buf, *bufs = (_tile_buffer(len(X), init.m, cols, t) for t in (float, float, bool, bool))
     diff = np.zeros(len(X))
     flipped = np.empty(init.m, dtype=bool)
-    for c0 in range(0, init.m, cols):
-        c = slice(c0, c0 + cols)
-        shape = (len(X), min(cols, init.m - c0))
-        pre, shift, on0, on = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        np.matmul(X, init.W0[:, c], out=pre)
-        pre += init.b0[c]
+    for c, pre in _pre_activations(X, init.W0, init.b0, cols, pre_buf):
+        shift, on0, on = (buf[: pre.size].reshape(pre.shape) for buf in bufs)
         np.greater_equal(pre, 0.0, out=on0)
         np.matmul(X, state.W[:, c] - init.W0[:, c], out=shift)
         pre += shift
@@ -477,9 +489,10 @@ def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarr
         f - g = (relu(p0 + s) - s * 1{p0 >= 0}) @ a0,
         flip  = 1{p0 + s >= 0} != 1{p0 >= 0}.
 
-    Rows are scanned in blocks of _CHUNK by _scan_block, each in tiles of
-    _TILE // max(min(_CHUNK, len(sample)), d) columns that stay in cache:
-    neither a tile nor its d x cols W - W0 outgrows _TILE elements.  map runs
+    Rows are scanned in blocks of _CHUNK by _scan_block, each in the
+    _unit_tiles of cols = _TILE // max(min(_CHUNK, len(sample)), d) columns,
+    which stay in cache: neither a tile nor its d x cols W - W0 outgrows _TILE
+    elements, but the last, which takes the remainder.  map runs
     the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
     combine by a NaN-propagating max and masks by an OR, folded into one mask
     as each block finishes: no bit depends on map.  The scan runs pinned to

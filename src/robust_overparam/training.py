@@ -18,7 +18,7 @@ from .network import (
     InitSnapshot,
     NetworkState,
     _blas_single_threaded,
-    _unit_tiles,
+    _pre_activations,
     _Workspace,
     drift_2inf,
     forward_real,
@@ -219,33 +219,18 @@ class FitResult:
     ridge: float
 
 
-def _activation_tiles(init: InitSnapshot, S: np.ndarray, width: int):
-    """Yield (c, M_c) over the unit tiles c of width units, where
-    M_c = 1{S @ W0[:, c] + b0[c] >= 0} as float64 0/1.
-
-    Every M_c is formed in place in one buffer sized for the last (widest)
-    tile, so a consumer must be done with it before asking for the next.
-    """
-    tiles = _unit_tiles(init.m, width)
-    buf = np.empty(len(S) * (tiles[-1].stop - tiles[-1].start))
-    for c in tiles:
-        mask = buf[: len(S) * (c.stop - c.start)].reshape(len(S), -1)
-        np.matmul(S, init.W0[:, c], out=mask)
-        mask += init.b0[c]
-        np.greater_equal(mask, 0.0, out=mask)
-        yield c, mask
-
-
 def _count_gram(init: InitSnapshot, S: np.ndarray) -> np.ndarray:
     """C = M M^T, the number of units active at both points, as float64.
 
-    Each _GRAM_TILE-unit tile's M_c M_c^T is taken in float32: its entries
-    are 0 or 1 and it sums fewer than 2 * _GRAM_TILE < 2^24 of them, so every
-    partial sum is an exact integer.  C is exact and does not depend on the
+    Each _GRAM_TILE-unit tile's mask M_c = 1{S @ W0_c + b0_c >= 0} is formed
+    as float64 0/1 over its pre-activations, and M_c M_c^T is taken in
+    float32: its entries are 0 or 1 and it sums fewer than 2 * _GRAM_TILE <
+    2^24 of them, so every partial sum is an exact integer.  C is exact and does not depend on the
     tile width, BLAS blocking or thread count.
     """
     C = np.zeros((len(S), len(S)))
-    for _, mask in _activation_tiles(init, S, _GRAM_TILE):
+    for _, mask in _pre_activations(S, init.W0, init.b0, _GRAM_TILE):
+        np.greater_equal(mask, 0.0, out=mask)
         on = mask.astype(np.float32)
         C += on @ on.T
     return C
@@ -289,7 +274,8 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
     del K
     coeffs = np.empty(init.m)
     fitted = np.zeros(n)
-    for c, mask in _activation_tiles(init, S, _FIT_TILE):
+    for c, mask in _pre_activations(S, init.W0, init.b0, _FIT_TILE):
+        np.greater_equal(mask, 0.0, out=mask)
         phi_c = 0.5 * init.a0[c]
         np.multiply(alpha @ mask, phi_c, out=coeffs[c])
         fitted += mask @ (phi_c * coeffs[c])

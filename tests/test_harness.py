@@ -568,6 +568,7 @@ class TestBlasPin:
 
     def test_no_symbol_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(network, "_BLAS_SYMBOLS", (("no_such_get", "no_such_set"),))
+        monkeypatch.setattr(network, "_blas_controls", None)  # the pin's lookup, made again
         assert network._openblas_threads() == []
 
         def handler(args):

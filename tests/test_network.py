@@ -17,6 +17,8 @@ from robust_overparam.network import (
     _UNIT_TILE,
     InitSnapshot,
     NetworkState,
+    _tile_buffer,
+    _unit_tiles,
     _Workspace,
     anti_concentration_check,
     coupling_scan,
@@ -438,12 +440,26 @@ class TestCoupling:
         assert fracs[0] > fracs[1] > fracs[2]
 
 
+@pytest.mark.parametrize("width", [1, 3, 256])
+def test_unit_tiles_end_in_the_widest(width):
+    # the tiles cover 0..m in order, every one but the last width units wide,
+    # and _tile_buffer holds the last, widest one
+    for m in range(1, 3 * width + 2):
+        tiles = list(_unit_tiles(m, width))
+        assert tiles[0].start == 0 and tiles[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        assert all(c.stop - c.start == width for c in tiles[:-1])
+        assert tiles[-1].stop - tiles[-1].start == max(c.stop - c.start for c in tiles) >= min(m, width)
+        assert len(_tile_buffer(2, m, width)) == 2 * (tiles[-1].stop - tiles[-1].start)
+
+
 def _scan_reference(state, X, chunk=None):
     """The coupling_scan docstring formula in plain numpy, tiled as the scan tiles it.
 
-    Rows go in blocks of `chunk`, and each block walks the units in tiles of
-    _TILE // max(rows, d) columns, summing its tiles' one-matvec f - g in column
-    order.  With chunk=None the whole sample is one block and one tile.
+    Rows go in blocks of `chunk`, and each block walks the units in the
+    _unit_tiles of _TILE // max(rows, d) columns, summing its tiles'
+    one-matvec f - g in column order.  With chunk=None the whole sample is one
+    block and one tile.
     BLAS may block a larger matmul differently (at m = 300 a 700-row
     X @ W0 differs from its 256-row blocks in the last bit), and the sum
     over tiles rounds differently from one matvec, so only the reference
@@ -458,8 +474,7 @@ def _scan_reference(state, X, chunk=None):
         Xc = X[lo : lo + rows]
         diff = np.zeros(len(Xc))
         tile_flips = []
-        for c0 in range(0, init.m, cols):
-            c = slice(c0, c0 + cols)
+        for c in _unit_tiles(init.m, cols):
             pre0 = Xc @ init.W0[:, c] + init.b0[c]
             shift = Xc @ dW[:, c]
             mask0 = pre0 >= 0
@@ -566,6 +581,32 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
         assert gap == ref_gap
         assert np.array_equal(flipped, ref_flipped)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("m", [257, 4097])
+    def test_last_tile_takes_the_remainder(self, m, workers, monkeypatch):
+        # 300 rows of d = 16 give 256-column tiles; a range(0, m, 256) walk
+        # would end in a one-column tile, whose product numpy takes through gemv
+        widths, pre_activations = [], network._pre_activations
+
+        def recorded(*args):
+            for c, pre in pre_activations(*args):
+                widths.append(pre.shape[1])
+                yield c, pre
+
+        monkeypatch.setattr(network, "_pre_activations", recorded)
+        st = perturbed_state(init_network(m, 16, seed=29), 2.0, seed=29)
+        X = uniform_domain_sample(300, 16, stream(29, "scan"))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            gap, flipped = coupling_scan(st, X, map=pool.map)
+        # two row blocks, each ending in a 257-column tile
+        assert set(widths) <= {256, 257} and widths.count(257) == 2
+        ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
+        assert gap == ref_gap
+        assert np.array_equal(flipped, ref_flipped)
+        whole_gap, whole_flipped = _scan_reference(st, X)
+        assert gap == pytest.approx(whole_gap, rel=1e-12, abs=0.0)
+        assert np.array_equal(flipped, whole_flipped)
 
     def test_scan_allocates_no_d_by_m_array(self):
         # each block's four tile buffers take 1.1 MiB and its flip mask m
