@@ -10,8 +10,9 @@ The PGA attack evaluates the network on _CapWorkspace, which folds the units
 that keep one sign on an example's cap into one linear term per example, or
 evaluates every unit where gathering the others would outweigh an n x m
 workspace.
-Every unit tile's pre-activations X @ W_c + b0_c, in the pseudo-network
-fit, the cap split and both coupling diagnostics, come from _pre_activations.
+Every unit tile's pre-activations X @ W_c + b0_c, in the count Gram, the
+pseudo-network fit, the cap split and both coupling diagnostics, come from
+_pre_activations.
 The coupling diagnostics form W - W0 one tile at a time, so a coupling cell
 holds W0 and W but no n x m array, d x m difference or gradient.
 The kernels whose bits would follow the BLAS thread count run on one
@@ -43,6 +44,14 @@ _UNIT_TILE = 4096
 # n = 20, m = 8192 an attack took 9.1 ms with it against 13.5 ms with 4096-unit
 # tiles, and m-unit tiles added 1 MB to its traced peak
 _CAP_TILE = 1024
+# units per tile of _count_gram's float32 mask (even: its pre-activations come
+# in half-width float64 tiles); on a 2-core Xeon at n = 420, 256 gave the
+# benchmark's `interpolant` a 44.6 MB peak RSS against 45.0 MB at 512, but
+# `fit --m 65536` 52.1 MB against 50.1 MB, and the Gram took 23.5 and 186 ms
+# against 21.9 and 167 ms at m = 8192 and 65536
+_GRAM_TILE = 512
+# the widest W whose counts _count_gram's float32 sums hold exactly
+_GRAM_MAX_UNITS = 2**24
 
 # (get, set) thread-count symbols of an OpenBLAS build; numpy's wheels bundle
 # scipy-openblas, which prefixes them, and 64-bit-integer builds add a suffix
@@ -195,6 +204,32 @@ def _pre_activations(X, W, b0, width: int, buf=None):
         np.matmul(X, W[:, c], out=pre)
         pre += b0[c]
         yield c, pre
+
+
+def _count_gram(X, W, b0) -> np.ndarray:
+    """C = M M^T with M = 1{X @ W + b0 >= 0}: the units active at both points, as float64.
+
+    Each tile c of _unit_tiles(m, _GRAM_TILE) fills one float32 n x tile
+    0/1 mask by in-place >= compares of its half-width tiles' pre-activations,
+    formed in one float64 buffer, and its M_c M_c^T is summed into a float32
+    C.  Every partial sum is an integer at most m, exact in float32 up to
+    2^24 units, so C is exact and does not depend on the tile width, BLAS
+    blocking or thread count; a wider W raises ValueError.  C becomes float64
+    only once the tile buffers are freed.
+    """
+    n, m = len(X), W.shape[1]
+    if m > _GRAM_MAX_UNITS:
+        raise ValueError(f"the count Gram is exact for at most 2^24 units, got {m}")
+    half = _GRAM_TILE // 2
+    masks, pres = _tile_buffer(n, m, _GRAM_TILE, np.float32), _tile_buffer(n, m, half)
+    C = np.zeros((n, n), dtype=np.float32)
+    for c in _unit_tiles(m, _GRAM_TILE):
+        mask = masks[: n * (c.stop - c.start)].reshape(n, c.stop - c.start)
+        for h, pre in _pre_activations(X, W[:, c], b0[c], half, pres):
+            np.greater_equal(pre, 0.0, out=mask[:, h])
+        C += mask @ mask.T
+    del masks, pres, mask
+    return C.astype(float)
 
 
 def _weight_gradient(X, slopes: np.ndarray, a0: np.ndarray, mask, factor) -> np.ndarray:
@@ -404,35 +439,35 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     g_real,r = a_r / n * sum_i l'(f(x_i), y_i) 1{<W_r, x_i> + b_r >= 0} x_i,
     that of grad_loss_real, and g_pseudo,r the same with g for f and W0_r
     for W_r.  Neither d x m gradient nor any n x m array is formed: one pass
-    over the unit tiles forms each tile's active masks at W and at W0 and
-    adds the tile's relu(X @ W_c + b0_c) @ a0_c into f and
+    over the unit tiles forms each tile's active mask at W0 and adds the
+    tile's relu(X @ W_c + b0_c) @ a0_c into f and
     ((X @ (W_c - W0_c)) * mask0_c) @ a0_c into g; a second pass forms the
-    two masks again from the same products and then the tile's two d x tile
-    gradient blocks, whose column norms go into two length-m vectors that
-    are summed once at the end.  Both passes work on one n x tile float
-    buffer, where each tile's W product is formed over its W0 one once mask0
-    is taken, and two n x tile bool buffers.  f and g are sums of tile
-    products, so past one tile their low bits can differ from forward_real's
-    and _Workspace.pseudo_forward's; the gradients are those of the full-width
-    formula wherever the slopes agree and BLAS rounds a tile's product as
-    it rounds the same columns of the full product (see the README).
+    masks at W0 and at W from the same products and then the tile's two
+    d x tile gradient blocks, whose column norms go into two length-m
+    vectors that are summed once at the end.  Both passes work on one
+    n x tile float buffer, where each tile's W product is formed over its W0
+    one once mask0 is taken, and two n x tile bool buffers.  f and g are
+    sums of tile products, so past one tile their low bits can differ from
+    forward_real's and _Workspace.pseudo_forward's; the gradients are those
+    of the full-width formula wherever the slopes agree and BLAS rounds a
+    tile's product as it rounds the same columns of the full product (see
+    the README).
     """
     X, y = _batch(X, y)
     init, n = state.init, len(X)
     buf, mask_buf, mask0_buf = (_tile_buffer(n, init.m, _UNIT_TILE, t) for t in (float, bool, bool))
 
-    def tile_masks():
-        """Yield (c, act, mask, mask0) per tile, with act left holding X @ W_c + b0_c."""
+    def tiles():
+        """Yield (c, act, mask0) per tile, with act left holding X @ W_c + b0_c."""
         pres = _pre_activations(X, state.W, init.b0, _UNIT_TILE, buf)
         for c, pre0 in _pre_activations(X, init.W0, init.b0, _UNIT_TILE, buf):
-            mask, mask0 = (b[: pre0.size].reshape(pre0.shape) for b in (mask_buf, mask0_buf))
+            mask0 = mask0_buf[: pre0.size].reshape(pre0.shape)
             np.greater_equal(pre0, 0.0, out=mask0)
             _, act = next(pres)  # over pre0, in buf
-            np.greater_equal(act, 0.0, out=mask)
-            yield c, act, mask, mask0
+            yield c, act, mask0
 
     f, g = np.zeros(n), np.zeros(n)
-    for c, act, mask, mask0 in tile_masks():
+    for c, act, mask0 in tiles():
         np.maximum(act, 0.0, out=act)
         f += act @ init.a0[c]
         np.matmul(X, state.W[:, c] - init.W0[:, c], out=act)
@@ -440,7 +475,9 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
         g += act @ init.a0[c]
     slopes, pseudo_slopes = loss.slope(f, y), loss.slope(g, y)
     real_norms, diff_norms = np.empty(init.m), np.empty(init.m)
-    for c, act, mask, mask0 in tile_masks():
+    for c, act, mask0 in tiles():
+        mask = mask_buf[: act.size].reshape(act.shape)
+        np.greater_equal(act, 0.0, out=mask)
         g_real = _weight_gradient(X, slopes, init.a0[c], mask, act)
         diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0, act)
         diff -= g_real

@@ -18,6 +18,7 @@ from .network import (
     InitSnapshot,
     NetworkState,
     _blas_single_threaded,
+    _count_gram,
     _pre_activations,
     _Workspace,
     drift_2inf,
@@ -30,12 +31,6 @@ GRAD_SLACK = 1e-12
 # tile's float64 mask takes 3.4 MB; on 2 cores 4096-unit tiles raised the fit's
 # traced peak to 29 MB and fit m = 65536 at most ~15% faster
 _FIT_TILE = 1024
-# units per tile of its count Gram, whose tile holds a float64 mask, its float32
-# copy and their n x n product beside C: at n = 420 the fit's traced peak is
-# 4.9 MB at m = 8192 and 65536 (8.3 MB with 1024-unit tiles); 512 was
-# the fastest of 256-1024, and 256 took the peak to 3.6 and 4.5 MB but the fit
-# 9-12% longer
-_GRAM_TILE = 512
 
 
 class AbsoluteLoss:
@@ -219,23 +214,6 @@ class FitResult:
     ridge: float
 
 
-def _count_gram(init: InitSnapshot, S: np.ndarray) -> np.ndarray:
-    """C = M M^T, the number of units active at both points, as float64.
-
-    Each _GRAM_TILE-unit tile's mask M_c = 1{S @ W0_c + b0_c >= 0} is formed
-    as float64 0/1 over its pre-activations, and M_c M_c^T is taken in
-    float32: its entries are 0 or 1 and it sums fewer than 2 * _GRAM_TILE <
-    2^24 of them, so every partial sum is an exact integer.  C is exact and does not depend on the
-    tile width, BLAS blocking or thread count.
-    """
-    C = np.zeros((len(S), len(S)))
-    for _, mask in _pre_activations(S, init.W0, init.b0, _GRAM_TILE):
-        np.greater_equal(mask, 0.0, out=mask)
-        on = mask.astype(np.float32)
-        C += on @ on.T
-    return C
-
-
 @_blas_single_threaded()
 def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None = None) -> FitResult:
     """Ridge least squares for a pseudo-network matching `target` on `sample`.
@@ -246,13 +224,12 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
     solved in its dual (kernel) form, K = Phi Phi^T + ridge I.
 
     Every |a0_r| is m^(-1/3), so Phi Phi^T = (|a0| / 2)^2 C, where C is the
-    exact activation-count Gram of _count_gram; a0 entries of unequal
-    magnitude raise ValueError.  The features are formed one unit tile at a
-    time, twice: once for C, in _GRAM_TILE-unit tiles, then, with K dropped
-    once alpha is solved, in _FIT_TILE-unit tiles for coeffs = Phi^T alpha
-    and the residual Phi coeffs - target.  So the fit holds n x n matrices
-    and n x tile buffers but no n x m array, and never an n x n matrix
-    beside the wider tiles.
+    exact activation-count Gram network._count_gram(S, W0, b0); a0 entries
+    of unequal magnitude raise ValueError.  With K dropped once alpha is
+    solved, the features are formed again in _FIT_TILE-unit tiles for
+    coeffs = Phi^T alpha and the residual Phi coeffs - target.  So the fit
+    holds n x n matrices and n x tile buffers but no n x m array, and never
+    an n x n matrix beside the wider tiles.
     """
     S = np.atleast_2d(np.asarray(sample, dtype=float))
     vals = np.asarray(target(S) if callable(target) else target, dtype=float)
@@ -261,7 +238,7 @@ def fit_pseudo_to_target(init: InitSnapshot, target, sample, ridge: float | None
     a = abs(init.a0[0])
     if np.any(np.abs(init.a0) != a):
         raise ValueError("a0 entries must all have the same magnitude")
-    K = _count_gram(init, S)
+    K = _count_gram(S, init.W0, init.b0)
     if not K.any():
         raise FitDegenerateError("all features are zero on the sample")
     n = len(S)

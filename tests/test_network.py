@@ -17,6 +17,7 @@ from robust_overparam.network import (
     _UNIT_TILE,
     InitSnapshot,
     NetworkState,
+    _count_gram,
     _tile_buffer,
     _unit_tiles,
     _Workspace,
@@ -367,6 +368,68 @@ class TestGradientCouplingRatio:
         finally:
             tracemalloc.stop()
         assert peak < 0.36 * n * m * 8
+
+
+class TestCountGram:
+    """The count Gram M M^T against a float64 one, and the paper's H^w(0)."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        from robust_overparam.harness import build_fit_instance
+
+        return build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)[2]
+
+    @pytest.mark.parametrize("n", [0, 1, 420])
+    @pytest.mark.parametrize("m", [1, 127, 300, 1025, 9000])
+    def test_exact_for_any_weights(self, points, m, n, monkeypatch):
+        # weights away from W0, and every Gram tile width: one unit, below a
+        # half tile, ragged last tiles, one unit over a 1024-unit tile; the
+        # float64 reference is exact, as every partial sum is an integer
+        st = perturbed_state(init_network(m, 10, seed=57), 2.0, seed=57)
+        X, b0 = points[:n], st.init.b0
+        mask = ((X @ st.W + b0) >= 0).astype(float)
+        for width in (256, 512, 1024):
+            monkeypatch.setattr(network, "_GRAM_TILE", width)
+            C = _count_gram(X, st.W, b0)
+            assert C.dtype == np.float64 and np.array_equal(C, mask @ mask.T)
+
+    def test_wider_than_float32_counts_rejected(self):
+        # past 2^24 units a float32 count could round; the weights are one
+        # zero column broadcast, so nothing n x m is allocated
+        m = 2**24 + 1
+        W, b0 = np.broadcast_to(np.zeros((10, 1)), (10, m)), np.broadcast_to(np.zeros(1), (m,))
+        with pytest.raises(ValueError, match="2\\^24"):
+            _count_gram(np.zeros((2, 10)), W, b0)
+
+    def test_traced_peak(self, points):
+        # a float32 mask, half-width float64 pre-activations, the float32 C
+        # and one tile product: 3.13 MB at n = 420 (2.55 MB with 256-unit
+        # tiles); a float64 mask, its float32 copy and a float64 C took it to
+        # 4.85 MB, and 3.84 MB with C made float64 beside the tile buffers
+        init = init_network(65536, 10, seed=7).init
+        tracemalloc.start()
+        try:
+            _count_gram(points, init.W0, init.b0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2e6
+
+    @pytest.mark.parametrize("m,lam", [(1024, 0.719), (8192, 1.580)])
+    def test_paper_gram_positive_at_t0(self, m, lam):
+        # H^w(0) = m^(-2/3) (M M^T) o (X X^T) on the acceptance batch attacked
+        # at t = 0, with M its activation mask at W0: PSD, as the paper's
+        # convergence step needs, and at the values ROADMAP item 8 measured
+        from robust_overparam.adversary import Adversary, AttackConfig
+
+        ds = synth_separated(20, 10, 0.8, 7)
+        st = init_network(m, 10, seed=7)
+        adv = Adversary("worst", AttackConfig(rho=0.05, steps=20, restarts=3, seed=7))
+        Xt = adv.perturb(st, ds.X, ds.y, LOSS, tag=0)
+        H = m ** (-2.0 / 3.0) * _count_gram(Xt, st.init.W0, st.init.b0) * (Xt @ Xt.T)
+        lam_min = np.linalg.eigvalsh(H)[0]
+        assert lam_min > 0
+        assert round(lam_min, 3) == lam
 
 
 class TestPerturbedState:

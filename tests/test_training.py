@@ -11,6 +11,7 @@ from robust_overparam.adversary import Adversary, AttackConfig, random_cap_point
 from robust_overparam.dataspace import synth_separated, uniform_domain_sample
 from robust_overparam.network import (
     InitSnapshot,
+    _count_gram,
     _Workspace,
     coupling_scan,
     forward_real,
@@ -21,7 +22,6 @@ from robust_overparam.rng import stream
 from robust_overparam.training import (
     _FIT_TILE,
     FitDegenerateError,
-    _count_gram,
     HyperParams,
     adversarial_train,
     fit_pseudo_to_target,
@@ -333,7 +333,7 @@ class TestFitPseudo:
         fit = fit_pseudo_to_target(init, vals, S)
 
         mask = (S @ init.W0 + init.b0) >= 0
-        assert np.array_equal(_count_gram(init, S), mask.astype(np.int64) @ mask.T.astype(np.int64))
+        assert np.array_equal(_count_gram(S, init.W0, init.b0), mask.astype(np.int64) @ mask.T.astype(np.int64))
         Phi = mask * (0.5 * init.a0)
         K = Phi @ Phi.T
         K[np.diag_indices_from(K)] += fit.ridge
@@ -355,20 +355,21 @@ class TestFitPseudo:
         # every Gram tile width gives the exact integer counts, so the fit's
         # bits do not depend on _GRAM_TILE; the float64 reference is exact
         # too, as every partial sum is an integer below 2^53
-        from robust_overparam import training
+        from robust_overparam import network
         from robust_overparam.harness import build_fit_instance
 
         _, _, S = build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)
         init = init_network(m, 10, seed=55).init
         mask = ((S @ init.W0 + init.b0) >= 0).astype(float)
         for width in (256, 512, 1024):
-            monkeypatch.setattr(training, "_GRAM_TILE", width)
-            assert np.array_equal(_count_gram(init, S), mask @ mask.T)
+            monkeypatch.setattr(network, "_GRAM_TILE", width)
+            assert np.array_equal(_count_gram(S, init.W0, init.b0), mask @ mask.T)
 
     def test_fit_holds_no_n_by_m_array(self):
-        # a 420 x 65536 float64 array alone is 220 MB; the fit's n x tile
-        # buffers peak at 4.9 MB, and 8.8 MB with the Gram in 1024-unit tiles,
-        # K kept through the coefficient pass and |a0| held
+        # a 420 x 65536 float64 array alone is 220 MB; the fit peaks at
+        # 4.51 MB in its 1024-unit coefficient pass, 4.86 MB with the count
+        # Gram summed in float64 over float64 masks, and 8.8 MB with it in
+        # 1024-unit tiles, K kept through the coefficient pass and |a0| held
         from robust_overparam.harness import build_fit_instance
 
         _, target, sample = build_fit_instance(20, 10, 0.8, 0.05, 0.3, 7, 20)
@@ -380,7 +381,7 @@ class TestFitPseudo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.2e6
+        assert peak < 4.6e6
 
     def test_a0_magnitudes_validated(self):
         st = init_network(64, 4, seed=54)
