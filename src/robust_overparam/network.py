@@ -228,7 +228,7 @@ def _count_gram(X, W, b0) -> np.ndarray:
         for h, pre in _pre_activations(X, W[:, c], b0[c], half, pres):
             np.greater_equal(pre, 0.0, out=mask[:, h])
         C += mask @ mask.T
-    del masks, pres, mask
+    del masks, pres, mask, pre
     return C.astype(float)
 
 
