@@ -192,7 +192,7 @@ def _coupling_cell(m: int, d: int, R: float, samples: int, batch_n: int, seed: i
     """One (width, seed) cell: sup-sample gap, flip fraction, gradient ratio."""
     pert = perturbed_state(init_network(m, d, seed), R, seed)
     sample = uniform_domain_sample(samples, d, stream(seed, "coupling-sample"))
-    gap, flipped = coupling_scan(pert, sample, map=_pool_map)
+    gap, flipped = coupling_scan(pert, sample, workers=_pool_workers())
     # the gradient ratio sets the cell's peak; it should not hold the sample too
     del sample
     flips = float(flipped.sum()) / m
@@ -205,7 +205,7 @@ def cmd_coupling(args) -> dict:
     rows = []
     grad_rows = []
     seeds = range(args.seed, args.seed + args.seeds)
-    # the cells run in turn, and each spreads its row blocks over the pool
+    # the cells run in turn, and each scans its row blocks on _pool_workers() threads
     for m in args.m_list:
         cells = [_coupling_cell(m, args.d, args.R, args.samples, args.batch_n, s) for s in seeds]
         gaps, flips, ratios = zip(*cells)
@@ -319,15 +319,20 @@ def cmd_sweep(args) -> dict:
     return {args.out: (header, rows)}
 
 
-def _pool_map(fn, items):
-    """[fn(item) for item in items], on THREADS_ENV (default min(4, cores)) worker threads.
-
-    fn must not call _pool_map: a worker that waits on its own pool can deadlock it.
-    """
+def _pool_workers() -> int:
+    """The worker count THREADS_ENV sets, default min(4, cores); ValueError unless an integer >= 1."""
     text = os.environ.get(THREADS_ENV)
     if text and not (text.isdecimal() and int(text) >= 1):
         raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {text!r}")
-    workers = int(text) if text else min(4, os.cpu_count() or 1)
+    return int(text) if text else min(4, os.cpu_count() or 1)
+
+
+def _pool_map(fn, items):
+    """[fn(item) for item in items], on _pool_workers() worker threads; `sweep` runs its cells here.
+
+    fn must not call _pool_map: a worker that waits on its own pool can deadlock it.
+    """
+    workers = _pool_workers()
     if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

@@ -14,12 +14,16 @@ Every unit tile's pre-activations X @ W_c + b0_c, in the count Gram, the
 pseudo-network fit, the cap split and both coupling diagnostics, come from
 _pre_activations.
 The coupling diagnostics form W - W0 one tile at a time, so a coupling cell
-holds W0 and W but no n x m array, d x m difference or gradient.
+holds W0 and W but no n x m array, d x m difference or gradient.  The
+scan's workers work in buffers made on the calling thread, one set each,
+so the scan's memory does not grow with the sample or stay in the
+workers' malloc arenas.
 The kernels whose bits would follow the BLAS thread count run on one
 thread, inside _blas_single_threaded, wherever they are called from.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import math
@@ -33,9 +37,10 @@ from .rng import stream
 
 # rows of X are points; W has one column per hidden unit
 _CHUNK = 256
-# elements per coupling_scan tile but its last: its two float and two bool
-# workspaces take 1.1 MiB, inside a 2 MiB L2 cache; on a 2-core Xeon with that
-# L2, 65536 was the fastest of 16384-131072
+# elements per coupling_scan tile but its last: at 256 rows and d = 16 its two
+# float and two bool workspaces and its d x tile W - W0 take 1.2 MiB, inside a
+# 2 MiB L2 cache; on a 2-core Xeon with that L2, 65536 was the fastest of
+# 16384-131072
 _TILE = 65536
 # units per tile of gradient_coupling_ratio and of the pseudo forward's
 # X @ (W - W0); see _unit_tiles for the last tile
@@ -232,13 +237,23 @@ def _count_gram(X, W, b0) -> np.ndarray:
     return C.astype(float)
 
 
-def _weight_gradient(X, slopes: np.ndarray, a0: np.ndarray, mask, factor) -> np.ndarray:
-    """Mean over the rows of X of slopes * a_r x 1{mask}, d x len(a0); factor is an n x len(a0) buffer."""
+def _weight_gradient(X, slopes: np.ndarray, a0: np.ndarray, mask, factor, out=None) -> np.ndarray:
+    """Mean over the rows of X of slopes * a_r x 1{mask}, d x len(a0), in out when given.
+
+    factor is an n x len(a0) buffer.
+    """
     np.multiply(slopes[:, None], a0, out=factor)
     factor *= mask
-    grad = X.T @ factor
+    grad = np.matmul(X.T, factor, out=out)
     grad /= len(X)
     return grad
+
+
+def _column_norms(A: np.ndarray, out: np.ndarray) -> None:
+    """out = np.linalg.norm(A, axis=0) bit for bit, squaring A in place instead of into a copy."""
+    np.square(A, out=A)
+    np.add.reduce(A, axis=0, out=out)
+    np.sqrt(out, out=out)
 
 
 class _Workspace:
@@ -443,10 +458,11 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
     tile's relu(X @ W_c + b0_c) @ a0_c into f and
     ((X @ (W_c - W0_c)) * mask0_c) @ a0_c into g; a second pass forms the
     masks at W0 and at W from the same products and then the tile's two
-    d x tile gradient blocks, whose column norms go into two length-m
-    vectors that are summed once at the end.  Both passes work on one
-    n x tile float buffer, where each tile's W product is formed over its W0
-    one once mask0 is taken, and two n x tile bool buffers.  f and g are
+    d x tile gradient blocks, in two d x tile buffers, whose column norms
+    (_column_norms) go into two length-m vectors that are summed once at the
+    end.  Both passes work on one n x tile float buffer, where each tile's
+    W product is formed over its W0 one once mask0 is taken, and two
+    n x tile bool buffers.  f and g are
     sums of tile products, so past one tile their low bits can differ from
     forward_real's and _Workspace.pseudo_forward's; the gradients are those
     of the full-width formula wherever the slopes agree and BLAS rounds a
@@ -475,34 +491,48 @@ def gradient_coupling_ratio(state: NetworkState, X, y, loss) -> float:
         g += act @ init.a0[c]
     slopes, pseudo_slopes = loss.slope(f, y), loss.slope(g, y)
     real_norms, diff_norms = np.empty(init.m), np.empty(init.m)
+    real_buf, diff_buf = (_tile_buffer(init.d, init.m, _UNIT_TILE) for _ in range(2))
     for c, act, mask0 in tiles():
         mask = mask_buf[: act.size].reshape(act.shape)
         np.greater_equal(act, 0.0, out=mask)
-        g_real = _weight_gradient(X, slopes, init.a0[c], mask, act)
-        diff = _weight_gradient(X, pseudo_slopes, init.a0[c], mask0, act)
+        g_real, diff = (b[: init.d * act.shape[1]].reshape(init.d, -1) for b in (real_buf, diff_buf))
+        _weight_gradient(X, slopes, init.a0[c], mask, act, out=g_real)
+        _weight_gradient(X, pseudo_slopes, init.a0[c], mask0, act, out=diff)
         diff -= g_real
-        real_norms[c] = np.linalg.norm(g_real, axis=0)
-        diff_norms[c] = np.linalg.norm(diff, axis=0)
+        _column_norms(g_real, real_norms[c])
+        _column_norms(diff, diff_norms[c])
     denom = float(real_norms.sum())
     return float(diff_norms.sum()) / denom if denom > 0 else float("inf")
 
 
-def _scan_block(state: NetworkState, X: np.ndarray, cols: int):
+def _scan_buffers(init: InitSnapshot, rows: int, cols: int) -> list:
+    """One set of every array _scan_block fills, for blocks of up to rows rows.
+
+    Four rows x tile buffers (float, float, bool, bool) and a d x tile one
+    for the tiles of _unit_tiles(m, cols), and an m-unit flip mask.
+    """
+    tiles = [_tile_buffer(rows, init.m, cols, t) for t in (float, float, bool, bool)]
+    return [*tiles, _tile_buffer(init.d, init.m, cols), np.empty(init.m, dtype=bool)]
+
+
+def _scan_block(state: NetworkState, X: np.ndarray, cols: int, bufs: list):
     """One row block's (max |f - g|, flip mask), over _unit_tiles(m, cols).
 
-    The block makes its own four tile buffers (float, float, bool, bool), so
-    blocks can run on any thread, and forms each tile's W - W0 as a d x tile
-    difference instead of reading one d x m W - W0; its f - g is the sum of
-    its tiles' matvecs, in column order.
+    bufs is a set from _scan_buffers: each tile's arrays are formed in place
+    at the heads of its buffers, and the flip mask returned is its last
+    array, so a set serves one block at a time.  The block forms each tile's
+    W - W0 as a d x tile difference instead of reading one d x m W - W0, and
+    its f - g is the sum of its tiles' matvecs, in column order.
     """
     init = state.init
-    pre_buf, *bufs = (_tile_buffer(len(X), init.m, cols, t) for t in (float, float, bool, bool))
+    pre_buf, *bufs, dW_buf, flipped = bufs
     diff = np.zeros(len(X))
-    flipped = np.empty(init.m, dtype=bool)
     for c, pre in _pre_activations(X, init.W0, init.b0, cols, pre_buf):
         shift, on0, on = (buf[: pre.size].reshape(pre.shape) for buf in bufs)
+        dW = dW_buf[: init.d * pre.shape[1]].reshape(init.d, -1)
         np.greater_equal(pre, 0.0, out=on0)
-        np.matmul(X, state.W[:, c] - init.W0[:, c], out=shift)
+        np.subtract(state.W[:, c], init.W0[:, c], out=dW)
+        np.matmul(X, dW, out=shift)
         pre += shift
         np.greater_equal(pre, 0.0, out=on)
         np.not_equal(on, on0, out=on)
@@ -515,7 +545,7 @@ def _scan_block(state: NetworkState, X: np.ndarray, cols: int):
 
 
 @_blas_single_threaded()
-def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarray]:
+def coupling_scan(state: NetworkState, sample, workers: int = 1) -> tuple[float, np.ndarray]:
     """Network-vs-pseudo-network comparison over the sample, in one pass.
 
     Returns the gap max |f_W(x) - g_W(x)| over the sample (a lower bound on
@@ -529,27 +559,55 @@ def coupling_scan(state: NetworkState, sample, map=map) -> tuple[float, np.ndarr
     Rows are scanned in blocks of _CHUNK by _scan_block, each in the
     _unit_tiles of cols = _TILE // max(min(_CHUNK, len(sample)), d) columns,
     which stay in cache: neither a tile nor its d x cols W - W0 outgrows _TILE
-    elements, but the last, which takes the remainder.  map runs
-    the blocks: in turn, or over the `coupling` command's thread pool.  Gaps
+    elements, but the last, which takes the remainder.  The scan runs on
+    min(workers, blocks) threads: the caller's alone for one, else a pool of
+    its own.  Each takes the next block from one shared iterator and scans it
+    in its own _scan_buffers set.  The sets are all made on the calling
+    thread before any worker starts, so their memory is the caller's to
+    reuse once the scan returns (made on the workers, it stayed in their
+    malloc arenas), and the scan holds nothing per block but its gap.  Gaps
     combine by a NaN-propagating max and masks by an OR, folded into one mask
-    as each block finishes: no bit depends on map.  The scan runs pinned to
-    one BLAS thread, so blocks on a caller's pool do not each start every
-    OpenBLAS thread.
+    as each block finishes: no bit depends on workers.  The scan runs pinned
+    to one BLAS thread, so its workers do not each start every OpenBLAS
+    thread.  An exception in a block is raised here once the other workers
+    have stopped.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise ValueError("empty sample")
-    cols = max(1, _TILE // max(min(_CHUNK, len(sample)), state.init.d))
+    rows = min(_CHUNK, len(sample))
+    cols = max(1, _TILE // max(rows, state.init.d))
+    starts = range(0, len(sample), _CHUNK)
+    sets = [_scan_buffers(state.init, rows, cols) for _ in range(min(workers, len(starts)))]
     flipped = np.zeros(state.init.m, dtype=bool)
-    lock = threading.Lock()
+    gaps = np.empty(len(starts))
+    blocks = iter(enumerate(starts))
+    lock = threading.Lock()  # guards blocks and flipped
 
-    def scan(lo):
-        gap, block_flipped = _scan_block(state, sample[lo : lo + _CHUNK], cols)
-        with lock:
-            np.logical_or(flipped, block_flipped, out=flipped)
-        return gap
+    def work(bufs):
+        while True:
+            with lock:
+                block = next(blocks, None)
+            if block is None:
+                return
+            i, lo = block
+            try:
+                gaps[i], block_flipped = _scan_block(state, sample[lo : lo + _CHUNK], cols, bufs)
+            except BaseException:
+                with lock:
+                    for _ in blocks:  # the other workers stop at their next block
+                        pass
+                raise
+            with lock:
+                np.logical_or(flipped, block_flipped, out=flipped)
 
-    gaps = list(map(scan, range(0, len(sample), _CHUNK)))
+    if len(sets) == 1:
+        work(sets[0])
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(sets)) as pool:
+            list(pool.map(work, sets))
     return float(np.max(gaps)), flipped  # max() would drop a NaN gap
 
 

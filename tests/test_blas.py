@@ -313,9 +313,8 @@ print(json.dumps({"fits": fits, "counts": counts()}))
 
     def test_pooled_scan_independent_of_blas_threads(self):
         # numpy loads first on two threads; the pin around coupling_scan puts
-        # every block on the 2-worker pool on one, whatever the caller's count
+        # every block on its 2 workers on one, whatever the caller's count
         body = """
-import concurrent.futures
 import numpy as np
 from robust_overparam import network
 from robust_overparam.dataspace import uniform_domain_sample
@@ -323,17 +322,16 @@ from robust_overparam.rng import stream
 st = network.perturbed_state(network.init_network(4096, 16, 5), 2.0, 5)
 X = uniform_domain_sample(1000, 16, stream(5, "scan"))
 inside, scans = [], {}
-with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-    def pool_map(scan, starts):
-        def block(lo):
-            inside.append(counts())
-            return scan(lo)
-        return pool.map(block, starts)
-    for threads in (1, 2):
-        for _, set_ in network._openblas_threads():
-            set_(threads)
-        gap, flipped = network.coupling_scan(st, X, map=pool_map)
-        scans[threads] = [gap.hex(), flipped.tobytes().hex()]
+scan_block = network._scan_block
+def block(*args):
+    inside.append(counts())
+    return scan_block(*args)
+network._scan_block = block
+for threads in (1, 2):
+    for _, set_ in network._openblas_threads():
+        set_(threads)
+    gap, flipped = network.coupling_scan(st, X, workers=2)
+    scans[threads] = [gap.hex(), flipped.tobytes().hex()]
 print(json.dumps({"scans": scans, "inside": inside, "counts": counts()}))
 """
         out = _run_script(body, {"OPENBLAS_NUM_THREADS": "2"})

@@ -415,10 +415,11 @@ class TestCouplingCommand:
             assert row[1] == "0.0" and row[4] == "0.0"  # W = W0: no unit flips
 
     def test_cell_memory(self, monkeypatch):
-        # W0 and W, the scan's tile buffers, the gradient ratio's tile buffers
-        # and norm vectors: about 2.57 d x m arrays, where the ratio's two
-        # 20 x m bool masks took 2.86, its full-width 20 x m forward workspace
-        # 4.2 and full-width gradients 7.3.  The cell runs pinned, as in the CLI
+        # W0 and W, the gradient ratio's tile buffers and norm vectors: about
+        # 2.49 d x m arrays, where fresh gradient blocks in the ratio took
+        # 2.55, its two 20 x m bool masks 2.86, its full-width 20 x m forward
+        # workspace 4.2 and full-width gradients 7.3.  The cell runs pinned,
+        # as in the CLI
         monkeypatch.setenv(harness.THREADS_ENV, "2")
         m, d = 65536, 16
         with network._blas_single_threaded():
@@ -428,7 +429,7 @@ class TestCouplingCommand:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 2.65 * d * m * 8
+        assert peak < 2.53 * d * m * 8
 
     def test_sample_released_before_gradient_ratio(self, monkeypatch):
         # the ratio sets the cell's peak, so it must not run beside the

@@ -1,8 +1,8 @@
 """Tests for the network, its linearization, and the coupling diagnostics."""
 
-import concurrent.futures
 import math
 import sys
+import threading
 import tracemalloc
 import types
 
@@ -17,6 +17,7 @@ from robust_overparam.network import (
     _UNIT_TILE,
     InitSnapshot,
     NetworkState,
+    _column_norms,
     _count_gram,
     _tile_buffer,
     _unit_tiles,
@@ -354,9 +355,10 @@ class TestGradientCouplingRatio:
             gradient_coupling_ratio(init_network(16, 5, seed=1), np.zeros((0, 5)), np.zeros(0), LOSS)
 
     def test_traced_peak_below_one_batch_by_width_float(self):
-        # n x tile buffers, two length-m norm vectors and the tiles' d x tile
-        # blocks: about 0.34 n x m floats; two n x m bool masks took it to
-        # 0.57, and a full-width n x m workspace alone would be one
+        # n x tile buffers, two length-m norm vectors and two d x tile
+        # gradient buffers normed in place: about 0.286 n x m floats; fresh
+        # gradient blocks and their squares took it to 0.335, two n x m bool
+        # masks to 0.57, and a full-width n x m workspace alone would be one
         m, d, n = 65536, 16, 20
         st = perturbed_state(init_network(m, d, seed=44), 2.0, seed=44)
         X = uniform_domain_sample(n, d, stream(44, "ratio-peak"))
@@ -367,7 +369,14 @@ class TestGradientCouplingRatio:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.36 * n * m * 8
+        assert peak < 0.30 * n * m * 8
+
+    @pytest.mark.parametrize("shape", [(2, 1), (16, 4096), (16, 4097), (10, 9000), (3, 300)])
+    def test_column_norms_in_place_match_linalg_norm(self, shape):
+        A = np.random.default_rng(shape[1]).standard_normal(shape) * 1e-3
+        out = np.empty(shape[1])
+        _column_norms(A.copy(), out)
+        assert np.array_equal(out, np.linalg.norm(A, axis=0))
 
 
 class TestCountGram:
@@ -620,17 +629,11 @@ class TestCouplingScanReference:
 
 
 class TestPooledCouplingScan(TestCouplingScanReference):
-    """The reference checks again, with each scan's row blocks on a 2-worker pool."""
-
-    @pytest.fixture(autouse=True)
-    def _pool(self):
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            self.pool = pool
-            yield
+    """The reference checks again, with each scan's row blocks on 2 workers."""
 
     def scan(self, state, X):
-        """coupling_scan on the pool, equal bit for bit to the serial scan."""
-        gap, flipped = coupling_scan(state, X, map=self.pool.map)
+        """coupling_scan on 2 workers, equal bit for bit to the serial scan."""
+        gap, flipped = coupling_scan(state, X, workers=2)
         serial_gap, serial_flipped = coupling_scan(state, X)
         assert gap == serial_gap or math.isnan(gap) and math.isnan(serial_gap)
         assert np.array_equal(flipped, serial_flipped)
@@ -640,10 +643,78 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         # 16 row blocks, the last one 160 rows, on two workers
         st = perturbed_state(init_network(4096, 16, seed=25), 2.0, seed=25)
         X = uniform_domain_sample(4000, 16, stream(25, "scan"))
-        gap, flipped = coupling_scan(st, X, map=self.pool.map)
+        gap, flipped = coupling_scan(st, X, workers=2)
         ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
         assert gap == ref_gap
         assert np.array_equal(flipped, ref_flipped)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("m", [300, 4097])
+    @pytest.mark.parametrize("n", [257, 700])
+    def test_workers_match_reference_on_ragged_samples(self, n, m, workers):
+        # 2 and 3 row blocks, the last one 1 and 188 rows: 3 workers on 2
+        # blocks run 2, and the 188-row block fills a 256-row buffer set
+        st = perturbed_state(init_network(m, 16, seed=30), 2.0, seed=30)
+        X = uniform_domain_sample(n, 16, stream(30, "scan", n))
+        gap, flipped = coupling_scan(st, X, workers=workers)
+        ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
+        assert gap == ref_gap
+        assert np.array_equal(flipped, ref_flipped)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 257, 700])
+    def test_buffer_sets_made_on_the_calling_thread(self, n, workers, monkeypatch):
+        # one set of five tile buffers per worker that has a block to scan,
+        # all made before any worker starts, so none lands in a worker's arena
+        made, tile_buffer = [], network._tile_buffer
+
+        def recorded(*args):
+            made.append(threading.get_ident())
+            return tile_buffer(*args)
+
+        monkeypatch.setattr(network, "_tile_buffer", recorded)
+        st = perturbed_state(init_network(300, 16, seed=31), 2.0, seed=31)
+        X = uniform_domain_sample(n, 16, stream(31, "scan", n))
+        coupling_scan(st, X, workers=workers)
+        blocks = -(-n // _CHUNK)
+        assert made == [threading.get_ident()] * (5 * min(workers, blocks))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_block_exception_propagates(self, workers, monkeypatch):
+        # block 2 of 8 raises: the scan raises it once its workers stop,
+        # and the workers take no block after that one fails
+        scanned, scan_block = [], network._scan_block
+
+        def failing(state, X, cols, bufs):
+            if len(scanned) == 2:
+                scanned.append("failed")
+                raise RuntimeError("block failed")
+            scanned.append(len(X))
+            return scan_block(state, X, cols, bufs)
+
+        monkeypatch.setattr(network, "_scan_block", failing)
+        st = perturbed_state(init_network(300, 16, seed=32), 2.0, seed=32)
+        X = uniform_domain_sample(8 * _CHUNK, 16, stream(32, "scan"))
+        raised = []
+
+        def call():
+            try:
+                coupling_scan(st, X, workers=workers)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in raised] == ["block failed"]
+        assert len(scanned) < 8
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        st = init_network(64, 4, seed=1)
+        with pytest.raises(ValueError, match="workers"):
+            coupling_scan(st, np.zeros((3, 4)), workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("m", [257, 4097])
@@ -660,8 +731,7 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         monkeypatch.setattr(network, "_pre_activations", recorded)
         st = perturbed_state(init_network(m, 16, seed=29), 2.0, seed=29)
         X = uniform_domain_sample(300, 16, stream(29, "scan"))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            gap, flipped = coupling_scan(st, X, map=pool.map)
+        gap, flipped = coupling_scan(st, X, workers=workers)
         # two row blocks, each ending in a 257-column tile
         assert set(widths) <= {256, 257} and widths.count(257) == 2
         ref_gap, ref_flipped = _scan_reference(st, X, _CHUNK)
@@ -672,39 +742,57 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         assert np.array_equal(flipped, whole_flipped)
 
     def test_scan_allocates_no_d_by_m_array(self):
-        # each block's four tile buffers take 1.1 MiB and its flip mask m
-        # bytes, about 0.44 d x m here; a whole W - W0 alone would be one
+        # each worker's set of five tile buffers takes 1.2 MiB and an m-byte
+        # flip mask, about 0.33 d x m here on two workers; a whole W - W0
+        # alone would be one
         m, d = 65536, 16
         st = perturbed_state(init_network(m, d, seed=26), 2.0, seed=26)
         X = uniform_domain_sample(4000, d, stream(26, "scan"))
         tracemalloc.start()
         try:
-            coupling_scan(st, X, map=self.pool.map)
+            coupling_scan(st, X, workers=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * d * m * 8
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_flip_masks_fold_as_blocks_finish(self, workers):
-        # each block's m-byte flip mask is ORed into one mask as the block
-        # finishes; kept until a final OR, the 79 masks of 20000 rows raised
-        # the peak by about 0.5 d x m over 4000 rows.  The pool's futures take
-        # about 1.6 KB per block whatever m is (0.19 d x m at m = 4096), so the
-        # width is one where the masks, not the futures, would show
-        m, d = 16384, 16
+    @staticmethod
+    def _peak_growth(m, workers):
+        """The scan's traced peak at 20000 rows less its peak at 4000, in d x m arrays at d = 16.
+
+        A first pooled scan loads the pool's module, which would add to
+        the first peak taken.
+        """
+        d = 16
         st = perturbed_state(init_network(m, d, seed=28), 2.0, seed=28)
-        run = map if workers == 1 else self.pool.map
+        coupling_scan(st, np.zeros((2 * _CHUNK, d)), workers=2)
         peaks = []
         for n in (4000, 20_000):
             X = uniform_domain_sample(n, d, stream(28, "scan", n))
             tracemalloc.start()
             try:
-                coupling_scan(st, X, map=run)
+                coupling_scan(st, X, workers=workers)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 0.1 * d * m * 8
+        return (peaks[1] - peaks[0]) / (d * m * 8)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flip_masks_fold_as_blocks_finish(self, workers):
+        # each block's m-byte flip mask is ORed into one mask as the block
+        # finishes; kept until a final OR, the 79 masks of 20000 rows raised
+        # the peak by about 0.5 d x m over 4000 rows.  The scan now keeps 8
+        # bytes per block, its gap: over 3 scans on 1-3 workers the growth was
+        # at most 0.0006 d x m, against 0.06 with a map's futures
+        assert self._peak_growth(16384, workers) < 0.005
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_future_per_block(self, workers):
+        # a map over the blocks held one future per block, about 1.6 KB
+        # whatever m is: 0.21 d x m more at 20000 rows than at 4000 here.
+        # Over 8 scans on 1-3 workers the growth is now at most 0.003 d x m
+        # (1.5 KB)
+        assert self._peak_growth(4096, workers) < 0.02
 
     def test_fold_under_contention(self, monkeypatch):
         # blocks that return at once spend their time in the fold; with more
@@ -712,15 +800,14 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         # update would leave a unit of some block's mask unset
         m, blocks = 1 << 20, 32
         masks = [np.arange(m) % blocks == i for i in range(blocks)]
-        monkeypatch.setattr(network, "_scan_block", lambda state, X, cols: (0.0, masks[int(X[0, 0])]))
+        monkeypatch.setattr(network, "_scan_block", lambda state, X, cols, bufs: (0.0, masks[int(X[0, 0])]))
         state = types.SimpleNamespace(init=types.SimpleNamespace(m=m, d=2))
         sample = np.repeat(np.arange(blocks, dtype=float), _CHUNK)[:, None].repeat(2, axis=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                for _ in range(20):
-                    assert coupling_scan(state, sample, map=pool.map)[1].all()
+            for _ in range(20):
+                assert coupling_scan(state, sample, workers=8)[1].all()
         finally:
             sys.setswitchinterval(interval)
 
@@ -733,7 +820,7 @@ class TestPooledCouplingScan(TestCouplingScanReference):
         X = uniform_domain_sample(n, d, stream(27, "scan", n))
         tracemalloc.start()
         try:
-            coupling_scan(st, X, map=self.pool.map)
+            coupling_scan(st, X, workers=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
