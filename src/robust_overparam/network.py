@@ -23,7 +23,6 @@ thread, inside _blas_single_threaded, wherever they are called from.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import ctypes
 import math
@@ -606,6 +605,8 @@ def coupling_scan(state: NetworkState, sample, workers: int = 1) -> tuple[float,
     if len(sets) == 1:
         work(sets[0])
     else:
+        import concurrent.futures  # a pooled scan's, not every importer's
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(sets)) as pool:
             list(pool.map(work, sets))
     return float(np.max(gaps)), flipped  # max() would drop a NaN gap
