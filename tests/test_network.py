@@ -681,7 +681,7 @@ class TestPooledCouplingScan(TestCouplingScanReference):
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_block_exception_propagates(self, workers, monkeypatch):
-        # block 2 of 8 raises: the scan raises it once its workers stop,
+        # the third of 8 blocks raises: the scan raises it once its workers stop,
         # and the workers take no block after that one fails
         scanned, scan_block = [], network._scan_block
 
